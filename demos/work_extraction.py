@@ -16,7 +16,7 @@ config = WorkExtractionConfig(
     gap=1.0, beta_source=2.0, beta=1.0,
     works=tuple(np.linspace(0.05, 0.65, 7)),
     memory_sizes=(1, 4, 16, 64))
-result = work_extraction(config, workers=4)
+result = work_extraction(config)
 
 print(f"kink at W = {result.kink:.4f}; epsilon monotone in N: {result.monotone}")
 eps_to = {r["W"]: r["epsilon_to"] for r in result.reference}

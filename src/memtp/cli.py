@@ -35,8 +35,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="comma list of energy levels")
     sub.add_argument("--memory", type=_ints, default=[2, 4, 8, 16, 32],
                      help="comma list of memory sizes N")
-    sub.add_argument("--family", choices=["default", "blue", "red", "cyan",
-                                          "orange"], default="default")
     sub.add_argument("--mode", choices=["full", "truncated"],
                      default="truncated")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
@@ -72,7 +70,6 @@ def main(argv=None) -> int:
     _add_common(p)
     p.add_argument("--target", default="reversal",
                    help="'reversal', 'cycle:<d>[:forward|backward]' or 'order:a,b,...'")
-    p.add_argument("--variant", type=int, default=0)
 
     p = subs.add_parser("work-extract", help="battery charging error vs N")
     _add_common(p)
@@ -106,10 +103,9 @@ def main(argv=None) -> int:
         state = args.state or [0.37, 0.24, 0.16, 0.11, 0.07, 0.05]
         energies = args.energies or list(range(len(state)))
         sweep = xp.SweepConfig(
-            scenario="converge", state=tuple(state), energies=tuple(energies),
+            state=tuple(state), energies=tuple(energies),
             beta=args.beta, target=_parse_target(args.target, len(state)),
-            memory_sizes=tuple(args.memory), family=args.family,
-            variant=args.variant, mode=args.mode, seed=args.seed)
+            memory_sizes=tuple(args.memory), mode=args.mode, seed=args.seed)
         rows = xp.run_sweep(sweep)
         write_rows(args.out, rows, cfg, args.format)
 
@@ -178,10 +174,7 @@ def main(argv=None) -> int:
         payload = xp.cone_export(state, gamma)
         rows = [{"order": v["order"], "state": v["state"]}
                 for v in payload["vertices"]]
-        if args.format == "csv":
-            write_rows(args.out, rows, cfg, "csv")
-        else:
-            write_rows(args.out, rows, cfg, "json")
+        write_rows(args.out, rows, cfg, args.format)
 
     return 0
 

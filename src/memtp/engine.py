@@ -4,9 +4,10 @@ A memory-assisted swap between system levels i and j touches the N x N grid
 of joint entries (i, k) x (j, l). A schedule fixes the visiting order of the
 grid; all supported traversal families visit every grid point exactly once.
 Schedules are stored as maximal "runs" that keep one joint entry active
-against a sweep of partner entries; runs sharing a Gibbs weight across
-partners are executed as a linear recurrence in C (scipy.signal.lfilter),
-which makes memory sizes of a few thousand cheap.
+against a sweep of partner entries. ``run_truncated`` executes a schedule
+step by step; it is the reference executor and the only one that feeds a
+recorder. Unrecorded runs use a wavefront kernel that updates one
+anti-diagonal of the default schedule's grid per numpy slice operation.
 """
 
 from __future__ import annotations
@@ -14,20 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .states import (JointState, distribution, gibbs_state, joint_gibbs,
                      marginalize, mutual_information, relative_entropy,
                      spectrum, tensor)
 
 FAMILIES = ("default", "blue", "red", "cyan", "orange")
-_FAST_RUN_MIN = 16   # below this, the python loop beats the lfilter call
 
 __all__ = [
     "FAMILIES", "Run", "ProtocolSchedule", "build_schedule",
     "two_level_thermalize", "run_truncated", "thermalize_memory",
     "run_full_swap", "run_composed",
-    "TrajectoryPoint", "TrajectoryRecorder",
+    "TrajectoryRecorder",
 ]
 
 
@@ -164,10 +163,6 @@ def build_schedule(family: str, levels, N: int, variant: int = 0) -> ProtocolSch
     return ProtocolSchedule(family, variant, (i, j), N, tuple(runs))
 
 
-class TrajectoryPoint(dict):
-    """Per-step record: step index, divergences, mutual information."""
-
-
 class TrajectoryRecorder:
     """Collects per-step entropic scalars (and optionally joint copies).
 
@@ -183,11 +178,11 @@ class TrajectoryRecorder:
         self.gamma_system = gibbs_state(template.system_spectrum, beta)
         self.gamma_memory = gibbs_state(template.memory_spectrum, beta)
         self.gamma_joint = np.kron(self.gamma_system, self.gamma_memory)
-        self.points: list[TrajectoryPoint] = []
+        self.points: list[dict] = []
 
     def record(self, step: int, probs: np.ndarray) -> None:
         joint = self.template.replace_probs(probs)
-        pt = TrajectoryPoint(
+        pt = dict(
             step=step,
             d_system=relative_entropy(marginalize(joint, "system"),
                                       self.gamma_system),
@@ -204,34 +199,41 @@ class TrajectoryRecorder:
         return np.array([pt["d_joint"] for pt in self.points])
 
 
-def _execute(probs: np.ndarray, g: np.ndarray, runs, recorder=None,
-             step_offset: int = 0) -> int:
-    """Apply runs to probs in place; returns the number of steps executed."""
-    steps = step_offset
+def _execute(probs: np.ndarray, g: np.ndarray, runs, recorder=None) -> None:
+    """Apply runs to probs in place, one elementary step at a time."""
+    steps = 0
     for run in runs:
         ga = g[run.active]
-        gp = g[run.partners]
-        if (recorder is None and gp.size >= _FAST_RUN_MIN
-                and np.all(gp == gp[0])):
-            gam = ga / (ga + gp[0])
-            part = probs[run.partners]
-            x0 = probs[run.active]
-            y = lfilter([gam], [1.0, -gam], part, zi=np.array([gam * x0]))[0]
-            x_prev = np.concatenate(([x0], y[:-1]))
-            pair_sum = x_prev + part
-            probs[run.partners] = pair_sum - y
-            probs[run.active] = y[-1]
-            steps += part.size
-        else:
-            for p_idx in run.partners:
-                s = probs[run.active] + probs[p_idx]
-                w = ga / (ga + g[p_idx]) * s
-                probs[run.active] = w
-                probs[p_idx] = s - w
-                steps += 1
-                if recorder is not None:
-                    recorder.record(steps, probs)
-    return steps
+        for p_idx in run.partners:
+            s = probs[run.active] + probs[p_idx]
+            w = ga / (ga + g[p_idx]) * s
+            probs[run.active] = w
+            probs[p_idx] = s - w
+            steps += 1
+            if recorder is not None:
+                recorder.record(steps, probs)
+
+
+def _swap(probs: np.ndarray, g: np.ndarray, i: int, j: int, N: int) -> None:
+    """Default-schedule swap of system levels i and j, in place.
+
+    Cell (k, l) depends only on cells (k, l - 1) and (k - 1, l), so each
+    anti-diagonal k + l = t is one slice update; the level-j row is held
+    reversed to keep both slices contiguous. Every cell does the arithmetic
+    of ``_execute``, so the result is bitwise equal to the default schedule.
+    """
+    a = probs[i * N:(i + 1) * N]                 # a view: writes land in probs
+    b = probs[j * N:(j + 1) * N][::-1].copy()
+    ga = g[i * N:(i + 1) * N]
+    gb = g[j * N:(j + 1) * N][::-1]
+    for t in range(2 * N - 1):
+        k0, k1 = max(0, t - N + 1), min(t, N - 1) + 1
+        o = N - 1 - t                    # cell (k, t - k) pairs a[k], b[k + o]
+        s = a[k0:k1] + b[k0 + o:k1 + o]
+        w = ga[k0:k1] / (ga[k0:k1] + gb[k0 + o:k1 + o]) * s
+        a[k0:k1] = w
+        b[k0 + o:k1 + o] = s - w
+    probs[j * N:(j + 1) * N] = b[::-1]
 
 
 def run_truncated(joint: JointState, beta: float, schedule: ProtocolSchedule,
@@ -257,22 +259,50 @@ def thermalize_memory(joint: JointState, beta: float) -> JointState:
     return joint.replace_probs(np.kron(q, gm))
 
 
+def _thermal_joint(state, system_spectrum, beta: float, pairs, N: int,
+                   memory_spectrum) -> JointState:
+    """Validated runner input: state (x) thermal memory, levels checked."""
+    p = distribution(state)
+    if N < 1:
+        raise ValueError("memory dimension N must be >= 1")
+    em = np.zeros(N) if memory_spectrum is None else spectrum(memory_spectrum)
+    if em.size != N:
+        raise ValueError("memory spectrum length must equal N")
+    for i, j in pairs:
+        if i == j or not (0 <= i < p.size and 0 <= j < p.size):
+            raise ValueError(f"levels ({i}, {j}) must be two distinct indices "
+                             f"in 0..{p.size - 1}")
+    return tensor(p, gibbs_state(em, beta), spectrum(system_spectrum), em)
+
+
+def _swap_block(joint: JointState, g: np.ndarray, beta: float, i: int, j: int,
+                recorder: TrajectoryRecorder | None) -> JointState:
+    """One swap of levels i and j: the kernel, or step by step when recorded.
+
+    ``g`` is ``joint_gibbs(joint, beta)``, computed once per runner call.
+    """
+    N = joint.memory_dim
+    if recorder is not None:
+        return run_truncated(joint, beta, build_schedule("default", (i, j), N),
+                             recorder)
+    probs = joint.probs.copy()
+    _swap(probs, g, i, j, N)
+    return joint.replace_probs(probs)
+
+
 def run_full_swap(state, system_spectrum, beta: float, levels, N: int, *,
-                  family: str = "default", variant: int = 0,
                   memory_spectrum=None,
                   recorder: TrajectoryRecorder | None = None) -> np.ndarray:
     """Memory-assisted swap: tensor, truncated protocol, memory discard.
 
     Returns the final system marginal. The memory starts thermal; its
-    spectrum defaults to trivial (all levels at zero energy).
+    spectrum defaults to trivial (all levels at zero energy). With a
+    recorder the swap runs step by step through ``run_truncated``.
     """
-    em = np.zeros(N) if memory_spectrum is None else spectrum(memory_spectrum)
-    if em.size != N:
-        raise ValueError("memory spectrum length must equal N")
-    gm = gibbs_state(em, beta)
-    joint = tensor(distribution(state), gm, spectrum(system_spectrum), em)
-    sched = build_schedule(family, levels, N, variant)
-    joint = run_truncated(joint, beta, sched, recorder)
+    i, j = int(levels[0]), int(levels[1])
+    joint = _thermal_joint(state, system_spectrum, beta, [(i, j)], N,
+                           memory_spectrum)
+    joint = _swap_block(joint, joint_gibbs(joint, beta), beta, i, j, recorder)
     joint = thermalize_memory(joint, beta)
     if recorder is not None:
         recorder.record(len(recorder.points), joint.probs)
@@ -280,23 +310,23 @@ def run_full_swap(state, system_spectrum, beta: float, levels, N: int, *,
 
 
 def run_composed(state, system_spectrum, beta: float, chain, N: int, *,
-                 mode: str = "truncated", family: str = "default",
-                 variant: int = 0, memory_spectrum=None,
+                 mode: str = "truncated", memory_spectrum=None,
                  recorder: TrajectoryRecorder | None = None) -> np.ndarray:
     """Composition of memory-assisted swaps along a transposition chain.
 
     ``mode="full"`` thermalises the memory after every block; "truncated"
     keeps the memory alive across blocks and thermalises once at the end.
-    Returns the final system marginal.
+    Returns the final system marginal. With a recorder every swap runs step
+    by step through ``run_truncated``.
     """
     if mode not in ("full", "truncated"):
         raise ValueError(f"mode must be 'full' or 'truncated', got {mode!r}")
-    em = np.zeros(N) if memory_spectrum is None else spectrum(memory_spectrum)
-    gm = gibbs_state(em, beta)
-    joint = tensor(distribution(state), gm, spectrum(system_spectrum), em)
+    chain = [(int(i), int(j)) for i, j in chain]
+    joint = _thermal_joint(state, system_spectrum, beta, chain, N,
+                           memory_spectrum)
+    g = joint_gibbs(joint, beta)
     for (i, j) in chain:
-        sched = build_schedule(family, (i, j), N, variant)
-        joint = run_truncated(joint, beta, sched, recorder)
+        joint = _swap_block(joint, g, beta, i, j, recorder)
         if mode == "full":
             joint = thermalize_memory(joint, beta)
     if mode == "truncated":

@@ -12,7 +12,6 @@ a protocol run.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +94,7 @@ def _attach_prediction(p, gamma, beta, chain, N):
 
 
 def converge_sweep(state, energies, beta, target_order, memory_sizes, *,
-                   mode: str = "truncated", family: str = "default",
-                   variant: int = 0, workers: int = 1) -> list[dict]:
+                   mode: str = "truncated") -> list[dict]:
     """Distance to a future-cone vertex as a function of memory size.
 
     For every N, runs the composed protocol along the neighbour chain
@@ -110,20 +108,14 @@ def converge_sweep(state, energies, beta, target_order, memory_sizes, *,
     target = extreme_point(p, g, target_order)
     chain = decompose_neighbour_transpositions(p, g, target.order)
 
-    def cell(N):
-        q = run_composed(p, E, beta, chain, N, mode=mode, family=family,
-                         variant=variant)
-        return {
+    rows = []
+    for N in memory_sizes:
+        q = run_composed(p, E, beta, chain, N, mode=mode)
+        rows.append({
             "N": int(N),
             "delta": total_variation(q, target.state),
             "delta_predicted": _attach_prediction(p, g, beta, chain, N),
-        }
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(cell, memory_sizes))
-    else:
-        rows = [cell(N) for N in memory_sizes]
+        })
     return sorted(rows, key=lambda r: r["N"])
 
 
@@ -136,14 +128,11 @@ class SweepConfig:
     randomize over configurations.
     """
 
-    scenario: str
     state: tuple[float, ...]
     energies: tuple[float, ...]
     beta: float
     target: tuple[int, ...]
     memory_sizes: tuple[int, ...]
-    family: str = "default"
-    variant: int = 0
     mode: str = "truncated"
     seed: int = 0
 
@@ -155,12 +144,11 @@ class SweepConfig:
             raise ValueError("beta must be non-negative")
 
 
-def run_sweep(config: SweepConfig, *, workers: int = 1) -> list[dict]:
+def run_sweep(config: SweepConfig) -> list[dict]:
     """Run ``converge_sweep`` from a frozen configuration."""
     return converge_sweep(config.state, config.energies, config.beta,
                           config.target, config.memory_sizes,
-                          mode=config.mode, family=config.family,
-                          variant=config.variant, workers=workers)
+                          mode=config.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +206,7 @@ def min_epsilon_transform(source, system_gamma, battery_gamma, *,
 @dataclass(frozen=True)
 class WorkExtractionConfig:
     """Two-level system with gap ``gap``, colder than the bath, charging a
-    two-level battery by W per grid point."""
+    two-level battery by W per grid point. Needs beta > 0."""
 
     gap: float
     beta_source: float
@@ -229,6 +217,10 @@ class WorkExtractionConfig:
     def __post_init__(self):
         if self.gap <= 0:
             raise ValueError("system gap must be positive")
+        if not self.beta > 0:
+            raise ValueError("beta must be positive: the kink "
+                             "log(1 + exp(-beta * gap)) / beta diverges at "
+                             "beta = 0")
         if not all(map(math.isfinite, self.works)):
             raise ValueError("work grid must be finite")
 
@@ -241,8 +233,7 @@ class WorkExtractionResult:
     monotone: bool              # epsilon non-increasing in N at every W
 
 
-def work_extraction(config: WorkExtractionConfig, *,
-                    workers: int = 1) -> WorkExtractionResult:
+def work_extraction(config: WorkExtractionConfig) -> WorkExtractionResult:
     """Failure probability of battery charging versus memory size.
 
     For each W the joint system-battery state starts as gamma(beta_source)
@@ -255,7 +246,8 @@ def work_extraction(config: WorkExtractionConfig, *,
     gS = gibbs_state(E_s, config.beta)
     p_sys = gibbs_state(E_s, config.beta_source)
 
-    def work_cell(W: float):
+    rows, reference = [], []
+    for W in config.works:
         E_b = np.array([0.0, W])
         E_joint = (E_s[:, None] + E_b[None, :]).ravel()
         gB = gibbs_state(E_b, config.beta)
@@ -274,26 +266,14 @@ def work_extraction(config: WorkExtractionConfig, *,
         target = np.kron(gS, [best_eps, 1.0 - best_eps])
         best_order = beta_order(target, g_joint)
         chain = decompose_neighbour_transpositions(p_joint, g_joint, best_order)
-        cells = []
         for N in config.memory_sizes:
             q = run_composed(p_joint, E_joint, config.beta, chain, N,
                              mode="truncated")
             res = min_epsilon_transform(q, gS, gB)
-            cells.append({"W": W, "N": int(N), "epsilon": res.epsilon})
-        ref = {"W": W, "epsilon_to": best_eps,
-               "vertex_order": list(best_order.order)}
-        return cells, ref
+            rows.append({"W": W, "N": int(N), "epsilon": res.epsilon})
+        reference.append({"W": W, "epsilon_to": best_eps,
+                          "vertex_order": list(best_order.order)})
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work_cell, config.works))
-    else:
-        results = [work_cell(W) for W in config.works]
-
-    rows, reference = [], []
-    for cells, ref in results:
-        rows.extend(cells)
-        reference.append(ref)
     monotone = True
     for ref in reference:
         eps_w = [r["epsilon"] for r in rows if r["W"] == ref["W"]]

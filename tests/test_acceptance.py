@@ -250,7 +250,7 @@ def test_11_work_extraction_memory_interpolation():
             gap=gap, beta_source=2.0, beta=beta,
             works=tuple(np.linspace(-0.5, 2.0, 200)),
             memory_sizes=(1, 2, 4, 8, 16, 32, 64, 128))
-        result = work_extraction(config, workers=4)
+        result = work_extraction(config)
         assert result.monotone
         eps_to = {r["W"]: r["epsilon_to"] for r in result.reference}
         for row in result.rows:

@@ -51,6 +51,15 @@ def test_work_extract(tmp_path):
         assert float(r["epsilon"]) >= float(r["epsilon_to"]) - 1e-10
 
 
+def test_work_extract_rejects_default_beta0_before_any_cell(monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a work cell ran")
+
+    monkeypatch.setattr("memtp.experiments.future_cone_vertices", no_cells)
+    with pytest.raises(ValueError, match="kink"):
+        main(["work-extract", "--w-points", "2", "--memory", "1"])
+
+
 def test_cool(tmp_path):
     out = tmp_path / "cool.csv"
     main(["cool", "--energies", "1.0,0.4", "--beta", "1.0",

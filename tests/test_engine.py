@@ -187,19 +187,54 @@ def test_probability_conserved_through_long_runs():
     assert abs(out.sum() - 1.0) < 1e-14
 
 
-def test_fast_and_stepwise_paths_agree():
-    # the recorder forces the per-step path; outputs must match the
-    # vectorised scan
-    p = np.array([0.8, 0.2])
-    E = [0.0, 0.9]
-    N = 48
-    joint = make_joint(p, 0.6, N, E)
-    sched = build_schedule("default", (0, 1), N)
-    fast = run_truncated(joint, 0.6, sched)
-    rec = TrajectoryRecorder(joint, 0.6)
-    slow = run_truncated(joint, 0.6, sched, recorder=rec)
-    assert np.abs(fast.probs - slow.probs).max() < 1e-13
-    assert len(rec.points) == N * N + 1
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 64])
+def test_unrecorded_runners_equal_stepwise_reference(N, beta, graded):
+    # the wavefront kernel must reproduce the step-by-step default schedule
+    # bit for bit, for trivial and graded memory spectra alike
+    rng = np.random.default_rng(N)
+    p = rand_state(rng, 3)
+    E = [0.0, 0.6, 1.5]
+    em = np.sort(rng.uniform(0.0, 1.2, N)) if graded else np.zeros(N)
+    chain = [(0, 1), (2, 1), (0, 2)]
+
+    def reference(pairs, mode):
+        joint = tensor(p, gibbs_state(em, beta), E, em)
+        for i, j in pairs:
+            joint = run_truncated(joint, beta,
+                                  build_schedule("default", (i, j), N))
+            if mode == "full":
+                joint = thermalize_memory(joint, beta)
+        if mode == "truncated":
+            joint = thermalize_memory(joint, beta)
+        return marginalize(joint, "system")
+
+    out = run_full_swap(p, E, beta, (2, 0), N, memory_spectrum=em)
+    assert np.array_equal(out, reference([(2, 0)], "truncated"))
+    for mode in ("full", "truncated"):
+        out = run_composed(p, E, beta, chain, N, mode=mode, memory_spectrum=em)
+        assert np.array_equal(out, reference(chain, mode)), mode
+
+
+@pytest.mark.parametrize("runner", ["full_swap", "composed"])
+def test_runners_reject_bad_input(runner):
+    p, E = [0.5, 0.3, 0.2], [0.0, 1.0, 2.0]
+
+    def call(levels, N, memory_spectrum=None):
+        if runner == "full_swap":
+            return run_full_swap(p, E, 0.5, levels, N,
+                                 memory_spectrum=memory_spectrum)
+        return run_composed(p, E, 0.5, [(0, 1), levels], N,
+                            memory_spectrum=memory_spectrum)
+
+    for levels in [(1, 1), (0, 3), (-1, 0)]:
+        with pytest.raises(ValueError, match="levels"):
+            call(levels, 4)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        call((0, 1), 0)
+    with pytest.raises(ValueError, match="memory spectrum length"):
+        call((0, 1), 4, memory_spectrum=[0.0, 1.0])
 
 
 def test_families_produce_identical_truncated_outputs():

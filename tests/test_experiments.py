@@ -37,25 +37,17 @@ def test_converge_sweep_attaches_chain_prediction_at_beta0():
         assert r["delta"] == pytest.approx(expected, rel=0.1)
 
 
-def test_converge_sweep_workers_match_serial():
-    p = [0.37, 0.24, 0.16, 0.11, 0.07, 0.05]
-    target = nested_cycle_order(6, 1)
-    serial = converge_sweep(p, range(6), 0.0, target, [8, 16, 32])
-    threaded = converge_sweep(p, range(6), 0.0, target, [8, 16, 32], workers=3)
-    assert serial == threaded
-
-
 def test_sweep_config_validation_and_run():
     from memtp.experiments import SweepConfig, run_sweep
-    cfg = SweepConfig(scenario="demo", state=(0.6, 0.4), energies=(0.0, 1.0),
+    cfg = SweepConfig(state=(0.6, 0.4), energies=(0.0, 1.0),
                       beta=0.3, target=(1, 0), memory_sizes=(2, 4, 8))
     rows = run_sweep(cfg)
     assert [r["N"] for r in rows] == [2, 4, 8]
     with pytest.raises(ValueError):
-        SweepConfig(scenario="demo", state=(0.6, 0.4), energies=(0.0, 1.0),
+        SweepConfig(state=(0.6, 0.4), energies=(0.0, 1.0),
                     beta=0.3, target=(1, 0), memory_sizes=(4, 4))
     with pytest.raises(ValueError):
-        SweepConfig(scenario="demo", state=(0.6, 0.4), energies=(0.0, 1.0),
+        SweepConfig(state=(0.6, 0.4), energies=(0.0, 1.0),
                     beta=-0.1, target=(1, 0), memory_sizes=(2, 4))
 
 
@@ -157,6 +149,14 @@ def test_work_extraction_large_w_epsilon_saturates_high():
     result = work_extraction(cfg)
     for row in result.rows:
         assert row["epsilon"] > 0.95
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.5])
+def test_work_extraction_config_rejects_nonpositive_beta(beta):
+    # the kink log(1 + e^(-beta gap)) / beta has no value at beta = 0
+    with pytest.raises(ValueError, match="kink"):
+        WorkExtractionConfig(gap=1.0, beta_source=2.0, beta=beta,
+                             works=(0.2,), memory_sizes=(1,))
 
 
 # ---------------------------------------------------------------------------
