@@ -14,17 +14,16 @@ from .states import (BetaOrder, JointState, ThermoCurve, beta_order,
                      marginalize, mutual_information, relative_entropy,
                      spectrum, tensor, thermo_curve, thermomajorizes,
                      total_variation)
-from .cones import (CapacityError, ExtremePoint, TranspositionChain,
-                    beta_cycle_permutation, beta_swap_matrix,
-                    decompose_neighbour_transpositions, extreme_point,
-                    future_cone_vertices)
+from .cones import (CapacityError, ExtremePoint, beta_cycle_permutation,
+                    beta_swap_matrix, decompose_neighbour_transpositions,
+                    extreme_point, future_cone_vertices)
 from .engine import (ProtocolSchedule, TrajectoryRecorder, build_schedule,
                      run_composed, run_full_swap, run_truncated,
                      thermalize_memory, two_level_thermalize)
 from .closed_forms import (PairGibbsFactors, closed_form_entry_b,
                            closed_form_entry_c, target_residual, start_residual,
                            final_state)
-from .rates import (ExponentialRateFit, RatePrediction, RateSingularityError,
+from .rates import (ExponentialRateFit, RateSingularityError,
                     correction_operator, fit_exponential_rate, predict_delta)
 
 __version__ = "0.1.0"

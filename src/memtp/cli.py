@@ -102,11 +102,9 @@ def main(argv=None) -> int:
     if args.command == "converge":
         state = args.state or [0.37, 0.24, 0.16, 0.11, 0.07, 0.05]
         energies = args.energies or list(range(len(state)))
-        sweep = xp.SweepConfig(
-            state=tuple(state), energies=tuple(energies),
-            beta=args.beta, target=_parse_target(args.target, len(state)),
-            memory_sizes=tuple(args.memory), mode=args.mode, seed=args.seed)
-        rows = xp.run_sweep(sweep)
+        rows = xp.converge_sweep(state, energies, args.beta,
+                                 _parse_target(args.target, len(state)),
+                                 args.memory, mode=args.mode)
         write_rows(args.out, rows, cfg, args.format)
 
     elif args.command == "work-extract":

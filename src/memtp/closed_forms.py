@@ -9,7 +9,8 @@ the package.
 
 Sums are evaluated with multiplicative term updates in log space (naive
 factorials overflow long before N = 4096), weighted through a single
-log-sum-exp per sum.
+log-sum-exp per sum. ``scipy.special`` is imported inside the functions
+that sum, so importing the package does not load scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "PairGibbsFactors", "closed_form_entry_b", "closed_form_entry_c",
@@ -52,11 +52,6 @@ class PairGibbsFactors:
         g = np.asarray(gamma, dtype=float)
         return cls(float(g[i] / (g[i] + g[j])))
 
-    @classmethod
-    def from_energy_gap(cls, gap: float, beta: float) -> "PairGibbsFactors":
-        """Factors for a pair with E_j - E_i = gap at inverse temperature beta."""
-        return cls(1.0 / (1.0 + math.exp(-beta * gap)))
-
 
 def _log_binom_series(log_t0: float, count: int, ratio_num, ratio_den,
                       log_x: float) -> np.ndarray:
@@ -76,6 +71,8 @@ def closed_form_entry_b(j: int, k: int, N: int, pair: PairGibbsFactors,
     Round 0 returns the initial value b. Indices are 1-based with
     1 <= j <= N and 0 <= k <= N.
     """
+    from scipy.special import logsumexp
+
     if not (1 <= j <= N):
         raise ValueError(f"slot index j={j} outside 1..{N}")
     if not (0 <= k <= N):
@@ -104,6 +101,8 @@ def closed_form_entry_c(j: int, N: int, pair: PairGibbsFactors,
     binomial sum with the finite-N depletion factors 1 - gamma_j^(N-u)
     kept explicitly.
     """
+    from scipy.special import logsumexp
+
     if not (1 <= j <= N):
         raise ValueError(f"slot index j={j} outside 1..{N}")
     gi, gj = pair.gamma_i, pair.gamma_j
@@ -128,6 +127,8 @@ def target_residual(N: int, pair: PairGibbsFactors) -> float:
     single weighted binomial sum. Vanishes as N grows: an ideal swap
     empties the target level completely.
     """
+    from scipy.special import logsumexp
+
     if N < 1:
         raise ValueError("N must be >= 1")
     gi, gj = pair.gamma_i, pair.gamma_j

@@ -23,7 +23,7 @@ MAX_ENUM_DIM = 8            # d! vertex enumeration guard
 VERTEX_DEDUP_TOL = 1e-12    # total-variation threshold for duplicate vertices
 
 __all__ = [
-    "CapacityError", "ExtremePoint", "TranspositionChain",
+    "CapacityError", "ExtremePoint",
     "extreme_point", "future_cone_vertices", "beta_swap_matrix",
     "decompose_neighbour_transpositions", "beta_cycle_permutation",
     "MAX_ENUM_DIM", "VERTEX_DEDUP_TOL",
@@ -40,27 +40,6 @@ class ExtremePoint:
 
     state: np.ndarray
     order: BetaOrder
-
-
-@dataclass(frozen=True)
-class TranspositionChain:
-    """Ordered neighbour transpositions (pairs of level indices).
-
-    Each pair is adjacent in the beta-order as it stands after the earlier
-    swaps have been applied; composing all of them maps the starting order
-    to the target order.
-    """
-
-    swaps: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.swaps)
-
-    def __iter__(self):
-        return iter(self.swaps)
-
-    def __getitem__(self, k):
-        return self.swaps[k]
 
 
 def _as_order(pi, d: int) -> BetaOrder:
@@ -94,23 +73,23 @@ def extreme_point(p, gamma, pi) -> ExtremePoint:
     return ExtremePoint(state, order)
 
 
-def future_cone_vertices(p, gamma, *, dedup_tol: float = VERTEX_DEDUP_TOL,
-                         max_dim: int = MAX_ENUM_DIM) -> list[ExtremePoint]:
+def future_cone_vertices(p, gamma) -> list[ExtremePoint]:
     """All distinct vertex candidates of the future thermal cone of p.
 
     Enumerates one candidate per permutation (d! of them, guarded at
-    ``max_dim``) and drops duplicates closer than ``dedup_tol`` in total
-    variation. Every returned state is thermomajorised by p.
+    ``MAX_ENUM_DIM``) and drops duplicates closer than ``VERTEX_DEDUP_TOL``
+    in total variation. Every returned state is thermomajorised by p.
     """
     p = distribution(p)
     g = distribution(gamma)
     d = p.size
-    if d > max_dim:
-        raise CapacityError(f"dimension {d} exceeds enumeration guard {max_dim}")
+    if d > MAX_ENUM_DIM:
+        raise CapacityError(
+            f"dimension {d} exceeds enumeration guard {MAX_ENUM_DIM}")
     vertices: list[ExtremePoint] = []
     for perm in permutations(range(d)):
         cand = extreme_point(p, g, perm)
-        if all(total_variation(cand.state, v.state) > dedup_tol
+        if all(total_variation(cand.state, v.state) > VERTEX_DEDUP_TOL
                for v in vertices):
             vertices.append(cand)
     return vertices
@@ -140,13 +119,15 @@ def beta_swap_matrix(i: int, j: int, gamma) -> np.ndarray:
     return m
 
 
-def decompose_neighbour_transpositions(p, gamma, target_pi) -> TranspositionChain:
+def decompose_neighbour_transpositions(
+        p, gamma, target_pi) -> tuple[tuple[int, int], ...]:
     """Neighbour-transposition chain from the beta-order of p to target_pi.
 
-    Adjacent-transposition (bubble) sort of the order sequence: repeated
-    left-to-right passes swapping beta-adjacent levels that are inverted
-    relative to the target. The chain length equals the inversion count,
-    hence is at most d(d-1)/2.
+    A tuple of level pairs, each adjacent in the beta-order as it stands
+    after the earlier swaps; composing them all maps the order of p to the
+    target. Built by bubble sort: repeated left-to-right passes swapping
+    beta-adjacent levels inverted relative to the target, so the length is
+    the inversion count, at most d(d-1)/2.
     """
     p = distribution(p)
     g = distribution(gamma)
@@ -162,7 +143,7 @@ def decompose_neighbour_transpositions(p, gamma, target_pi) -> TranspositionChai
                 swaps.append((cur[pos], cur[pos + 1]))
                 cur[pos], cur[pos + 1] = cur[pos + 1], cur[pos]
                 changed = True
-    return TranspositionChain(tuple(swaps))
+    return tuple(swaps)
 
 
 def beta_cycle_permutation(p, gamma, levels, direction: str = "forward") -> BetaOrder:

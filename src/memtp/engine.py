@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import (JointState, distribution, gibbs_state, joint_gibbs,
-                     marginalize, mutual_information, relative_entropy,
-                     spectrum, tensor)
+                     marginalize, relative_entropy, spectrum, tensor)
 
 FAMILIES = ("default", "blue", "red", "cyan", "orange")
 
@@ -28,6 +27,12 @@ __all__ = [
     "run_full_swap", "run_composed",
     "TrajectoryRecorder",
 ]
+
+
+def _underflow(i: int, j: int) -> ValueError:
+    return ValueError(f"Gibbs weights of levels {i} and {j} underflow to 0: "
+                      "beta * dE exceeds the range of exp in float64, so "
+                      "their thermalisation factor is 0/0")
 
 
 def two_level_thermalize(state, gamma, i: int, j: int, lam: float = 1.0) -> np.ndarray:
@@ -45,6 +50,8 @@ def two_level_thermalize(state, gamma, i: int, j: int, lam: float = 1.0) -> np.n
         raise ValueError("lam must lie in [0, 1]")
     if not (0 <= i < p.size and 0 <= j < p.size):
         raise ValueError("level index out of range")
+    if g[i] + g[j] == 0.0:
+        raise _underflow(i, j)
     s = p[i] + p[j]
     w = (1.0 - lam) * p[i] + lam * (g[i] / (g[i] + g[j])) * s
     p[i] = w
@@ -86,12 +93,6 @@ class ProtocolSchedule:
             else:
                 out.extend((int(p), run.active) for p in run.partners)
         return out
-
-    def grid_points(self) -> list[tuple[int, int]]:
-        """The visited (k, l) memory-slot pairs, in execution order."""
-        i, j = self.levels
-        N = self.memory_dim
-        return [(a - i * N, b - j * N) for a, b in self.steps()]
 
 
 def _segments_for_family(family: str, N: int, variant: int):
@@ -175,7 +176,7 @@ class TrajectoryRecorder:
 
     def __init__(self, template: JointState, beta: float,
                  store_states: bool = False):
-        self.template = template
+        self.shape = (template.system_dim, template.memory_dim)
         self.store_states = store_states
         self.gamma_system = gibbs_state(template.system_spectrum, beta)
         self.gamma_memory = gibbs_state(template.memory_spectrum, beta)
@@ -183,15 +184,16 @@ class TrajectoryRecorder:
         self.points: list[dict] = []
 
     def record(self, probs: np.ndarray) -> None:
-        joint = self.template.replace_probs(probs)
+        grid = probs.reshape(self.shape)
+        p_system = grid.sum(axis=1)
+        p_memory = grid.sum(axis=0)
         pt = dict(
             step=len(self.points),
-            d_system=relative_entropy(marginalize(joint, "system"),
-                                      self.gamma_system),
-            d_memory=relative_entropy(marginalize(joint, "memory"),
-                                      self.gamma_memory),
+            d_system=relative_entropy(p_system, self.gamma_system),
+            d_memory=relative_entropy(p_memory, self.gamma_memory),
             d_joint=relative_entropy(probs, self.gamma_joint),
-            mutual_information=mutual_information(joint),
+            mutual_information=relative_entropy(
+                probs, np.kron(p_system, p_memory)),
         )
         if self.store_states:
             pt["joint"] = probs.copy()
@@ -260,8 +262,12 @@ def thermalize_memory(joint: JointState, beta: float) -> JointState:
 
 
 def _thermal_joint(state, system_spectrum, beta: float, pairs, N: int,
-                   memory_spectrum) -> JointState:
-    """Validated runner input: state (x) thermal memory, levels checked."""
+                   memory_spectrum) -> tuple[JointState, np.ndarray]:
+    """Validated runner input: state (x) thermal memory, and its Gibbs state.
+
+    A pair (i, j) is rejected when rows i and j of the (d, N) Gibbs grid
+    each hold an underflowed 0: some cell of their swap would be 0/0.
+    """
     p = distribution(state)
     if N < 1:
         raise ValueError("memory dimension N must be >= 1")
@@ -272,14 +278,21 @@ def _thermal_joint(state, system_spectrum, beta: float, pairs, N: int,
         if i == j or not (0 <= i < p.size and 0 <= j < p.size):
             raise ValueError(f"levels ({i}, {j}) must be two distinct indices "
                              f"in 0..{p.size - 1}")
-    return tensor(p, gibbs_state(em, beta), spectrum(system_spectrum), em)
+    joint = tensor(p, gibbs_state(em, beta), spectrum(system_spectrum), em)
+    g = joint_gibbs(joint, beta)
+    rows = g.reshape(p.size, N)
+    for i, j in pairs:
+        if not (rows[i].all() or rows[j].all()):
+            raise _underflow(i, j)
+    return joint, g
 
 
 def _swap_block(joint: JointState, g: np.ndarray, beta: float, i: int, j: int,
                 recorder: TrajectoryRecorder | None) -> JointState:
     """One swap of levels i and j: the kernel, or step by step when recorded.
 
-    ``g`` is ``joint_gibbs(joint, beta)``, computed once per runner call.
+    ``g`` is ``joint_gibbs(joint, beta)`` from ``_thermal_joint``, computed
+    once per runner call.
     """
     N = joint.memory_dim
     if recorder is not None:
@@ -300,9 +313,9 @@ def run_full_swap(state, system_spectrum, beta: float, levels, N: int, *,
     recorder the swap runs step by step through ``run_truncated``.
     """
     i, j = int(levels[0]), int(levels[1])
-    joint = _thermal_joint(state, system_spectrum, beta, [(i, j)], N,
-                           memory_spectrum)
-    joint = _swap_block(joint, joint_gibbs(joint, beta), beta, i, j, recorder)
+    joint, g = _thermal_joint(state, system_spectrum, beta, [(i, j)], N,
+                              memory_spectrum)
+    joint = _swap_block(joint, g, beta, i, j, recorder)
     joint = thermalize_memory(joint, beta)
     if recorder is not None:
         recorder.record(joint.probs)
@@ -322,9 +335,8 @@ def run_composed(state, system_spectrum, beta: float, chain, N: int, *,
     if mode not in ("full", "truncated"):
         raise ValueError(f"mode must be 'full' or 'truncated', got {mode!r}")
     chain = [(int(i), int(j)) for i, j in chain]
-    joint = _thermal_joint(state, system_spectrum, beta, chain, N,
-                           memory_spectrum)
-    g = joint_gibbs(joint, beta)
+    joint, g = _thermal_joint(state, system_spectrum, beta, chain, N,
+                              memory_spectrum)
     for (i, j) in chain:
         joint = _swap_block(joint, g, beta, i, j, recorder)
         if mode == "full":

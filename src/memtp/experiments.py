@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .closed_forms import PairGibbsFactors
 from .cones import (decompose_neighbour_transpositions, extreme_point,
@@ -28,7 +27,7 @@ from .states import (BetaOrder, beta_order, curve_eval, distribution,
                      thermo_curve, total_variation)
 
 __all__ = [
-    "SweepConfig", "run_sweep", "converge_sweep",
+    "converge_sweep",
     "nested_cycle_order", "cycle_family_orders",
     "min_epsilon_transform",
     "WorkExtractionConfig", "WorkExtractionResult", "work_extraction",
@@ -95,11 +94,14 @@ def converge_sweep(state, energies, beta, target_order, memory_sizes, *,
                    mode: str = "truncated") -> list[dict]:
     """Distance to a future-cone vertex as a function of memory size.
 
-    For every N, runs the composed protocol along the neighbour chain
+    For every N in ``memory_sizes`` (strictly increasing, else
+    ``ValueError``), runs the composed protocol along the neighbour chain
     towards the vertex labelled by ``target_order`` and measures the total
     variation distance to it; a rate-model prediction is attached where
-    one exists.
+    one exists. ``gibbs_state`` rejects a negative ``beta``.
     """
+    if any(b <= a for a, b in zip(memory_sizes, memory_sizes[1:])):
+        raise ValueError("memory sizes must be strictly increasing")
     p = distribution(state)
     E = spectrum(energies)
     g = gibbs_state(E, beta)
@@ -114,39 +116,7 @@ def converge_sweep(state, energies, beta, target_order, memory_sizes, *,
             "delta": total_variation(q, target.state),
             "delta_predicted": _attach_prediction(p, g, beta, chain, N),
         })
-    return sorted(rows, key=lambda r: r["N"])
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """A reproducible convergence-sweep setup.
-
-    Memory sizes must be strictly increasing and the inverse temperature
-    non-negative; the seed is carried into output headers for suites that
-    randomize over configurations.
-    """
-
-    state: tuple[float, ...]
-    energies: tuple[float, ...]
-    beta: float
-    target: tuple[int, ...]
-    memory_sizes: tuple[int, ...]
-    mode: str = "truncated"
-    seed: int = 0
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.memory_sizes,
-                                      self.memory_sizes[1:])):
-            raise ValueError("memory sizes must be strictly increasing")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
-
-
-def run_sweep(config: SweepConfig) -> list[dict]:
-    """Run ``converge_sweep`` from a frozen configuration."""
-    return converge_sweep(config.state, config.energies, config.beta,
-                          config.target, config.memory_sizes,
-                          mode=config.mode)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +232,18 @@ def cooling_closed_form(e_system: float, e_memory: float,
 
     Closed forms for the excited two-level system swapped through a
     two-level memory with gap ``e_memory``; the distance is the 1-norm to
-    the ambient thermal state.
+    the ambient thermal state. Sums of exponentials are taken in log form.
     """
-    es, em = e_system, e_memory
-    ex = math.exp
-    q1 = (ex(beta * em) + ex(beta * (em + es)) + ex(beta * (2 * em + es))
-          + ex(beta * (em + 2 * es)) + ex(beta * es)) / (
-        (ex(beta * es) + 1) * (ex(beta * (em - es)) + 1)
-        * (ex(beta * (em + es)) + 1))
-    q2 = (ex(beta * em) + ex(beta * (2 * em + es)) + ex(beta * es)) / (
-        (ex(beta * es) + 1) * (ex(beta * em) + ex(beta * es))
-        * (ex(beta * (em + es)) + 1))
-    dist = 1.0 / ((math.exp(-beta * es) + 1)
-                  * (math.cosh(beta * em) + math.cosh(beta * es)))
-    return np.array([q1, q2]), dist
+    a, b = beta * e_system, beta * e_memory
+    lse = np.logaddexp
+    log_q1 = (lse.reduce([b, b + a, 2 * b + a, b + 2 * a, a])
+              - lse(a, 0.0) - lse(b - a, 0.0) - lse(b + a, 0.0))
+    log_q2 = (lse.reduce([b, 2 * b + a, a])
+              - lse(a, 0.0) - lse(b, a) - lse(b + a, 0.0))
+    # log(cosh x) = logaddexp(x, -x) - log 2
+    log_cosh_sum = lse(lse(b, -b), lse(a, -a)) - math.log(2.0)
+    dist = math.exp(-lse(-a, 0.0) - log_cosh_sum)
+    return np.exp([log_q1, log_q2]), dist
 
 
 # joint level pairs addressable through the four distinct gaps; indices are
@@ -302,14 +270,14 @@ class CoolingReport:
     gamma_system: np.ndarray
 
 
-def cooling_demo(e_system: float, e_memory: float, beta: float,
-                 sequence: tuple[int, ...] = COOLING_SEQUENCE) -> CoolingReport:
+def cooling_demo(e_system: float, e_memory: float,
+                 beta: float) -> CoolingReport:
     """Cool an excited two-level system below ambient with a two-level memory.
 
     The memory gap must allow selective coupling (E_S - E_M != E_M) and
     both gaps must be positive. The four addressable couplings are applied
-    in ``sequence`` (same-gap pairs sequentially, lower pair first), the
-    memory is discarded, and the result is compared against the closed
+    in ``COOLING_SEQUENCE`` (same-gap pairs sequentially, lower pair first),
+    the memory is discarded, and the result is compared against the closed
     forms.
     """
     if e_system <= 0 or e_memory <= 0:
@@ -320,7 +288,7 @@ def cooling_demo(e_system: float, e_memory: float, beta: float,
     joint = tensor([0.0, 1.0], g_mem, [0.0, e_system], [0.0, e_memory])
     g_joint = joint_gibbs(joint, beta)
     probs = joint.probs
-    for op in sequence:
+    for op in COOLING_SEQUENCE:
         for (a, b) in COOLING_OPS[op]:
             probs = two_level_thermalize(probs, g_joint, a, b)
     joint = thermalize_memory(joint.replace_probs(probs), beta)
@@ -346,6 +314,8 @@ def critical_beta(energies) -> float:
     Root of 1 - sum_{i >= 2} exp(-beta E_i), found by bisection; raises if
     no bracket exists (spectrum too small or degenerate).
     """
+    from scipy.optimize import bisect
+
     E = spectrum(energies)
     if E.size < 3:
         raise ValueError("need at least three levels")

@@ -29,13 +29,10 @@ from .closed_forms import PairGibbsFactors
 
 SINGULARITY_TOL = 1e-9
 
-MODELS = ("swap_beta0", "chain_beta0", "dimension_bound", "subset_bound",
-          "swap_exponential", "fitted")
-
 __all__ = [
-    "MODELS", "SINGULARITY_TOL", "RateSingularityError", "RatePrediction",
-    "ExponentialRateFit", "transposition_matrix", "correction_operator",
-    "predict_delta", "fit_exponential_rate",
+    "SINGULARITY_TOL", "RateSingularityError", "ExponentialRateFit",
+    "transposition_matrix", "correction_operator", "predict_delta",
+    "fit_exponential_rate",
 ]
 
 
@@ -105,17 +102,6 @@ def predict_delta(model: str, N: int, *, p=None, chain=None, dim=None,
     if model == "fitted":
         return math.exp(intercept - exponent * N) * N ** -1.5
     raise ValueError(f"unknown model {model!r}")
-
-
-@dataclass(frozen=True)
-class RatePrediction:
-    """A rate model bound to its parameters; call ``delta(N)`` to evaluate."""
-
-    model: str
-    params: dict
-
-    def delta(self, N: int) -> float:
-        return predict_delta(self.model, N, **self.params)
 
 
 @dataclass(frozen=True)

@@ -41,23 +41,22 @@ def spectrum(energies) -> np.ndarray:
     return arr
 
 
-def distribution(probs, *, tol_neg: float = TOL_NEG,
-                 tol_norm: float = TOL_NORM) -> np.ndarray:
+def distribution(probs) -> np.ndarray:
     """Validate a probability vector, clamping tiny negatives to zero.
 
-    Entries below ``-tol_neg`` and sums deviating from 1 by more than
-    ``tol_norm`` are rejected. The returned array is a fresh copy.
+    Entries below ``-TOL_NEG`` and sums deviating from 1 by more than
+    ``TOL_NORM`` are rejected. The returned array is a fresh copy.
     """
     arr = np.array(probs, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("distribution must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(arr)):
         raise ValueError("distribution entries must be finite")
-    if np.any(arr < -tol_neg):
-        raise ValueError(f"distribution has entry below -{tol_neg}")
+    if np.any(arr < -TOL_NEG):
+        raise ValueError(f"distribution has entry below -{TOL_NEG}")
     arr[arr < 0.0] = 0.0
     total = arr.sum()
-    if abs(total - 1.0) > tol_norm:
+    if abs(total - 1.0) > TOL_NORM:
         raise ValueError(f"distribution sums to {total}, not 1")
     return arr
 
@@ -100,17 +99,6 @@ class BetaOrder:
         r[list(self.order)] = np.arange(len(self.order))
         return r
 
-    def matrix(self) -> np.ndarray:
-        """Dense 0/1 matrix P with (P p)_k = p_{order[k]}."""
-        d = len(self.order)
-        m = np.zeros((d, d))
-        m[np.arange(d), list(self.order)] = 1.0
-        return m
-
-    def apply(self, p) -> np.ndarray:
-        """Rearrange p into beta-ordered form."""
-        return np.asarray(p, dtype=float)[list(self.order)]
-
 
 def _check_pair(p, gamma) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(p, dtype=float)
@@ -145,13 +133,6 @@ class ThermoCurve:
     xs: np.ndarray
     ys: np.ndarray
 
-    def __call__(self, x):
-        return curve_eval(self, x)
-
-    @property
-    def knots(self) -> np.ndarray:
-        return np.stack([self.xs, self.ys], axis=1)
-
 
 def thermo_curve(p, gamma) -> ThermoCurve:
     """Thermomajorisation curve of p relative to gamma.
@@ -178,7 +159,7 @@ def curve_eval(curve: ThermoCurve, x):
     return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
 
 
-def thermomajorizes(p, q, gamma, tol: float = TOL_CMP) -> bool:
+def thermomajorizes(p, q, gamma) -> bool:
     """Whether p thermomajorizes q relative to gamma.
 
     True iff the curve of p lies above the curve of q everywhere, checked
@@ -190,7 +171,7 @@ def thermomajorizes(p, q, gamma, tol: float = TOL_CMP) -> bool:
     cq = thermo_curve(q, gamma)
     xs = np.union1d(cp.xs, cq.xs)
     return bool(np.all(np.interp(xs, cp.xs, cp.ys)
-                       >= np.interp(xs, cq.xs, cq.ys) - tol))
+                       >= np.interp(xs, cq.xs, cq.ys) - TOL_CMP))
 
 
 def total_variation(p, q) -> float:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from memtp import (TrajectoryRecorder, build_schedule, gibbs_state,
-                   joint_gibbs, marginalize, mutual_information, run_composed,
-                   run_full_swap, run_truncated, tensor, thermalize_memory,
-                   thermomajorizes, total_variation, two_level_thermalize)
+                   joint_gibbs, marginalize, mutual_information,
+                   relative_entropy, run_composed, run_full_swap,
+                   run_truncated, tensor, thermalize_memory, thermomajorizes,
+                   total_variation, two_level_thermalize)
 from memtp.engine import FAMILIES, ProtocolSchedule
 
 
@@ -76,7 +77,7 @@ def test_all_families_coincide_for_single_slot_memory():
 def test_every_family_visits_the_grid_once(family, N):
     for variant in ([0] if family in ("default", "blue", "red") else [0, 1, 5, 12]):
         sched = build_schedule(family, (0, 1), N, variant)
-        pts = sched.grid_points()
+        pts = [(a, b - N) for a, b in sched.steps()]
         assert len(pts) == N * N
         assert len(set(pts)) == N * N
         assert all(0 <= k < N and 0 <= l < N for k, l in pts)
@@ -237,6 +238,26 @@ def test_runners_reject_bad_input(runner):
         call((0, 1), 4, memory_spectrum=[0.0, 1.0])
 
 
+def test_runners_reject_pairs_whose_gibbs_weights_underflow():
+    # at beta = 1000 both weights of levels 1 and 2 are exactly 0, so every
+    # cell factor of their swap would be 0/0
+    p, E = [0.5, 0.3, 0.2], [0.0, 1.0, 2.0]
+    with pytest.raises(ValueError, match="underflow"):
+        run_composed(p, E, 1000.0, [(1, 2)], 4)
+    with pytest.raises(ValueError, match="underflow"):
+        run_full_swap(p, E, 1000.0, (1, 2), 4)
+    with pytest.raises(ValueError, match="underflow"):
+        two_level_thermalize(p, gibbs_state(E, 1000.0), 1, 2)
+
+
+def test_one_underflowing_weight_per_cell_stays_finite():
+    # only the excited level's weight is 0: every cell has one positive
+    # weight, and the swap drains the excited level without 0/0
+    with np.errstate(invalid="raise", divide="raise"):
+        q = run_full_swap([0.5, 0.5], [0.0, 1.0], 1000.0, (0, 1), 4)
+    assert np.array_equal(q, [1.0, 0.0])
+
+
 def test_families_produce_identical_truncated_outputs():
     rng = np.random.default_rng(3)
     p = rand_state(rng, 2)
@@ -313,6 +334,30 @@ def test_recorder_records_final_discard_for_full_protocol():
     assert len(rec.points) == 3 * 3 + 2
     assert rec.points[-1]["mutual_information"] < 1e-14
     assert [pt["step"] for pt in rec.points] == list(range(3 * 3 + 2))
+
+
+def test_recorder_rows_equal_recompute_from_stored_joint():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        d, N = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        beta = rng.uniform(0, 1.5)
+        E = np.sort(rng.uniform(0, 2, d))
+        em = np.sort(rng.uniform(0, 1, N))
+        p = rand_state(rng, d)
+        joint = tensor(p, gibbs_state(em, beta), E, em)
+        rec = TrajectoryRecorder(joint, beta, store_states=True)
+        run_composed(p, E, beta, [(0, 1), (d - 1, 0)], N, memory_spectrum=em,
+                     recorder=rec)
+        gS, gM = gibbs_state(E, beta), gibbs_state(em, beta)
+        for pt in rec.points:
+            state = joint.replace_probs(pt["joint"])
+            pS = marginalize(state, "system")
+            pM = marginalize(state, "memory")
+            assert pt["d_system"] == relative_entropy(pS, gS)
+            assert pt["d_memory"] == relative_entropy(pM, gM)
+            assert pt["d_joint"] == relative_entropy(pt["joint"],
+                                                     np.kron(gS, gM))
+            assert pt["mutual_information"] == mutual_information(state)
 
 
 def test_recorded_two_swap_run_numbers_steps_once():

@@ -39,18 +39,13 @@ def test_converge_sweep_attaches_chain_prediction_at_beta0():
         assert r["delta"] == pytest.approx(expected, rel=0.1)
 
 
-def test_sweep_config_validation_and_run():
-    from memtp.experiments import SweepConfig, run_sweep
-    cfg = SweepConfig(state=(0.6, 0.4), energies=(0.0, 1.0),
-                      beta=0.3, target=(1, 0), memory_sizes=(2, 4, 8))
-    rows = run_sweep(cfg)
+def test_converge_sweep_validation():
+    rows = converge_sweep((0.6, 0.4), (0.0, 1.0), 0.3, (1, 0), (2, 4, 8))
     assert [r["N"] for r in rows] == [2, 4, 8]
     with pytest.raises(ValueError):
-        SweepConfig(state=(0.6, 0.4), energies=(0.0, 1.0),
-                    beta=0.3, target=(1, 0), memory_sizes=(4, 4))
+        converge_sweep((0.6, 0.4), (0.0, 1.0), 0.3, (1, 0), (4, 4))
     with pytest.raises(ValueError):
-        SweepConfig(state=(0.6, 0.4), energies=(0.0, 1.0),
-                    beta=-0.1, target=(1, 0), memory_sizes=(2, 4))
+        converge_sweep((0.6, 0.4), (0.0, 1.0), -0.1, (1, 0), (2, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +232,45 @@ def test_cooling_distance_positive_on_grid():
             assert report.distance_engine > 0
             # cooled below ambient: more ground population than thermal
             assert report.q_engine[0] > report.gamma_system[0]
+
+
+def _cooling_closed_form_direct(es, em, beta):
+    # the closed forms as plain sums of exponentials (overflow past
+    # beta * (em + 2 es) ~ 709)
+    ex = math.exp
+    q1 = (ex(beta * em) + ex(beta * (em + es)) + ex(beta * (2 * em + es))
+          + ex(beta * (em + 2 * es)) + ex(beta * es)) / (
+        (ex(beta * es) + 1) * (ex(beta * (em - es)) + 1)
+        * (ex(beta * (em + es)) + 1))
+    q2 = (ex(beta * em) + ex(beta * (2 * em + es)) + ex(beta * es)) / (
+        (ex(beta * es) + 1) * (ex(beta * em) + ex(beta * es))
+        * (ex(beta * (em + es)) + 1))
+    dist = 1.0 / ((ex(-beta * es) + 1)
+                  * (math.cosh(beta * em) + math.cosh(beta * es)))
+    return np.array([q1, q2]), dist
+
+
+def test_cooling_log_form_matches_direct_sums_on_the_gap_grid():
+    betas = (0.5, 1.0, 2.0)
+    for a, es in enumerate((0.6, 1.0, 1.5)):
+        for b, em in enumerate((0.25, 0.4, 0.7)):
+            beta = betas[(a + b) % 3]
+            q, dist = cooling_closed_form(es, em, beta)
+            q_ref, dist_ref = _cooling_closed_form_direct(es, em, beta)
+            assert np.abs(q - q_ref).max() < 1e-14
+            assert abs(dist - dist_ref) < 1e-14
+
+
+def test_cooling_at_large_beta():
+    # beta * (E_M + 2 E_S) = 960 overflows exp; the log form does not
+    report = cooling_demo(1.0, 0.4, 400.0)
+    assert np.all(np.isfinite(report.q_closed_form))
+    assert np.abs(report.q_engine - report.q_closed_form).max() < 1e-12
+    assert abs(report.distance_engine - report.distance_closed_form) < 1e-12
+    # at beta = 800 the two top joint levels underflow to weight 0, and
+    # their thermalisation is rejected instead of returning NaN
+    with pytest.raises(ValueError, match="underflow"):
+        cooling_demo(1.0, 0.4, 800.0)
 
 
 def test_cooling_rejects_unaddressable_gaps():

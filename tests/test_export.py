@@ -11,7 +11,8 @@ def test_distribution_and_curve_serialize_as_json_arrays():
     p = distribution([0.7, 0.2, 0.1])
     curve = thermo_curve(p, gibbs_state([0, 1, 2], 0.3))
     payload = rows_to_json(
-        [{"state": p, "knots": curve.knots}], {"beta": 0.3})
+        [{"state": p, "knots": np.stack([curve.xs, curve.ys], axis=1)}],
+        {"beta": 0.3})
     decoded = json.loads(payload)
     assert decoded["rows"][0]["state"] == pytest.approx([0.7, 0.2, 0.1])
     knots = np.array(decoded["rows"][0]["knots"])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from memtp.closed_forms import PairGibbsFactors
-from memtp.rates import (RatePrediction, RateSingularityError,
-                         correction_operator, fit_exponential_rate,
-                         predict_delta, transposition_matrix)
+from memtp.rates import (RateSingularityError, correction_operator,
+                         fit_exponential_rate, predict_delta,
+                         transposition_matrix)
 
 
 def test_swap_beta0_value():
@@ -63,9 +63,9 @@ def test_subset_bound_sum():
 
 
 def test_predictions_decay_in_memory_size():
-    pred = RatePrediction("swap_exponential", {"p": (0.9, 0.1),
-                                       "pair": PairGibbsFactors(0.7)})
-    vals = [pred.delta(N) for N in [4, 8, 16, 32, 64]]
+    vals = [predict_delta("swap_exponential", N, p=(0.9, 0.1),
+                          pair=PairGibbsFactors(0.7))
+            for N in [4, 8, 16, 32, 64]]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert all(v >= 0 for v in vals)
 

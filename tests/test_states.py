@@ -78,11 +78,11 @@ def test_beta_order_rejects_zero_gamma():
         beta_order([0.5, 0.5], [1.0, 0.0])
 
 
-def test_beta_order_matrix_applies_permutation():
+def test_beta_order_applies_permutation():
     gamma = np.ones(3) / 3
     p = np.array([0.2, 0.5, 0.3])
     order = beta_order(p, gamma)
-    assert np.allclose(order.matrix() @ p, np.sort(p)[::-1])
+    assert np.allclose(p[list(order.order)], np.sort(p)[::-1])
     assert np.array_equal(order.ranks[list(order.order)], np.arange(3))
 
 
@@ -107,7 +107,8 @@ def test_curve_of_thermal_state_is_diagonal():
 
 def test_curve_sharp_state_beta0():
     c = thermo_curve([1.0, 0.0], [0.5, 0.5])
-    assert np.allclose(c.knots, [[0, 0], [0.5, 1], [1, 1]])
+    assert np.allclose(c.xs, [0, 0.5, 1])
+    assert np.allclose(c.ys, [0, 1, 1])
 
 
 def test_curve_knots_follow_beta_order():
