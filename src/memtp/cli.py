@@ -24,6 +24,13 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
+def _memory_sizes(text: str) -> list[int]:
+    sizes = _ints(text)
+    if not sizes:
+        raise argparse.ArgumentTypeError("give at least one memory size N")
+    return sizes
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beta", type=float, default=0.0,
                      help="bath inverse temperature")
@@ -33,7 +40,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="comma list of initial populations")
     sub.add_argument("--energies", type=_floats, default=None,
                      help="comma list of energy levels")
-    sub.add_argument("--memory", type=_ints, default=[2, 4, 8, 16, 32],
+    sub.add_argument("--memory", type=_memory_sizes,
+                     default=[2, 4, 8, 16, 32],
                      help="comma list of memory sizes N")
     sub.add_argument("--mode", choices=["full", "truncated"],
                      default="truncated")
@@ -48,15 +56,24 @@ def _parse_target(text: str, d: int):
         return tuple(range(d - 1, -1, -1))
     if text.startswith("cycle:"):
         parts = text.split(":")
-        k = int(parts[1])
         direction = parts[2] if len(parts) > 2 else "forward"
-        if k != d:
+        if parts[1] != str(d):
             raise SystemExit("only full cycles are supported via cycle:<d>")
         if direction == "forward":
             return (d - 1,) + tuple(range(d - 1))
-        return tuple(range(1, d)) + (0,)
+        if direction == "backward":
+            return tuple(range(1, d)) + (0,)
+        raise SystemExit(f"target {text!r}: the cycle direction must be "
+                         "forward|backward")
     if text.startswith("order:"):
-        return tuple(int(x) for x in text.split(":")[1].split(","))
+        try:
+            order = tuple(int(x) for x in text.split(":")[1].split(","))
+        except ValueError:
+            order = ()
+        if sorted(order) != list(range(d)):
+            raise SystemExit(f"target {text!r} is not an order of the "
+                             f"levels 0..{d - 1}")
+        return order
     raise SystemExit(f"cannot parse target {text!r}")
 
 
@@ -159,7 +176,8 @@ def main(argv=None) -> int:
     elif args.command == "free-energy":
         state = args.state or [0.7, 0.2, 0.1]
         energies = args.energies or list(range(len(state)))
-        N = args.memory[0] if args.memory else 16
+        N = args.memory[0]
+        cfg["memory"] = [N]
         trace = xp.free_energy_trace(state, energies, args.beta,
                                      tuple(args.levels), N)
         cfg["monotone_joint"] = trace["monotone_joint"]

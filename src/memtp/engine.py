@@ -7,7 +7,11 @@ Schedules are stored as maximal "runs" that keep one joint entry active
 against a sweep of partner entries. ``run_truncated`` executes a schedule
 step by step; it is the reference executor and the only one that feeds a
 recorder. Unrecorded runs use a wavefront kernel that updates one
-anti-diagonal of the default schedule's grid per numpy slice operation.
+anti-diagonal of the default schedule's grid per numpy slice operation,
+writing through two buffers made once per swap. With a flat memory
+spectrum (every row of the Gibbs grid constant) the cell factor
+g_a / (g_a + g_b) is one scalar per swap; graded memory computes it per
+cell. Either way the kernel is bitwise equal to the default schedule.
 """
 
 from __future__ import annotations
@@ -216,25 +220,38 @@ def _execute(probs: np.ndarray, g: np.ndarray, runs, recorder=None) -> None:
                 recorder.record(probs)
 
 
-def _swap(probs: np.ndarray, g: np.ndarray, i: int, j: int, N: int) -> None:
+def _swap(probs: np.ndarray, g: np.ndarray, i: int, j: int, N: int,
+          flat: bool) -> None:
     """Default-schedule swap of system levels i and j, in place.
 
     Cell (k, l) depends only on cells (k, l - 1) and (k - 1, l), so each
-    anti-diagonal k + l = t is one slice update; the level-j row is held
-    reversed to keep both slices contiguous. Every cell does the arithmetic
-    of ``_execute``, so the result is bitwise equal to the default schedule.
+    anti-diagonal k + l = const is one slice update; the level-j row is held
+    reversed to keep both slices contiguous. Pair sums and cell factors go
+    through two length-N buffers made once per swap, so a diagonal costs
+    three ufunc calls and allocates no array. ``flat`` says that every row
+    of the (d, N) Gibbs grid ``g`` is constant (a flat memory spectrum):
+    then every cell factor g_a / (g_a + g_b) is the same float and is
+    computed once per swap; otherwise it is computed per cell, with two
+    more ufunc calls per diagonal. Every cell does the arithmetic of
+    ``_execute``, so the result is bitwise equal to the default schedule.
     """
     a = probs[i * N:(i + 1) * N]                 # a view: writes land in probs
     b = probs[j * N:(j + 1) * N][::-1].copy()
     ga = g[i * N:(i + 1) * N]
-    gb = g[j * N:(j + 1) * N][::-1]
-    for t in range(2 * N - 1):
-        k0, k1 = max(0, t - N + 1), min(t, N - 1) + 1
-        o = N - 1 - t                    # cell (k, t - k) pairs a[k], b[k + o]
-        s = a[k0:k1] + b[k0 + o:k1 + o]
-        w = ga[k0:k1] / (ga[k0:k1] + gb[k0 + o:k1 + o]) * s
-        a[k0:k1] = w
-        b[k0 + o:k1 + o] = s - w
+    gb = g[j * N:(j + 1) * N][::-1].copy()
+    s, f = np.empty(N), np.empty(N)
+    r = ga[0] / (ga[0] + gb[0])             # every cell's factor when flat
+    for t in range(1 - N, N):
+        # diagonal t has n cells and pairs a[ka:ka + n] with b[kb:kb + n]
+        ka, kb, n = (t, 0, N - t) if t > 0 else (0, -t, N + t)
+        av, bv, sv = a[ka:ka + n], b[kb:kb + n], s[:n]
+        np.add(av, bv, out=sv)
+        if not flat:
+            r = f[:n]
+            np.add(ga[ka:ka + n], gb[kb:kb + n], out=r)
+            np.divide(ga[ka:ka + n], r, out=r)
+        np.multiply(sv, r, out=av)
+        np.subtract(sv, av, out=bv)
     probs[j * N:(j + 1) * N] = b[::-1]
 
 
@@ -262,11 +279,13 @@ def thermalize_memory(joint: JointState, beta: float) -> JointState:
 
 
 def _thermal_joint(state, system_spectrum, beta: float, pairs, N: int,
-                   memory_spectrum) -> tuple[JointState, np.ndarray]:
-    """Validated runner input: state (x) thermal memory, and its Gibbs state.
+                   memory_spectrum) -> tuple[JointState, np.ndarray, bool]:
+    """Validated runner input: the joint state, its Gibbs state and ``flat``.
 
-    A pair (i, j) is rejected when rows i and j of the (d, N) Gibbs grid
-    each hold an underflowed 0: some cell of their swap would be 0/0.
+    The joint state is state (x) thermal memory. ``flat``, for ``_swap``,
+    says that every row of the (d, N) Gibbs grid is constant. A pair (i, j)
+    is rejected when rows i and j of the Gibbs grid each hold an underflowed
+    0: some cell of their swap would be 0/0.
     """
     p = distribution(state)
     if N < 1:
@@ -284,22 +303,23 @@ def _thermal_joint(state, system_spectrum, beta: float, pairs, N: int,
     for i, j in pairs:
         if not (rows[i].all() or rows[j].all()):
             raise _underflow(i, j)
-    return joint, g
+    return joint, g, bool((rows == rows[:, :1]).all())
 
 
-def _swap_block(joint: JointState, g: np.ndarray, beta: float, i: int, j: int,
+def _swap_block(joint: JointState, g: np.ndarray, flat: bool, beta: float,
+                i: int, j: int,
                 recorder: TrajectoryRecorder | None) -> JointState:
     """One swap of levels i and j: the kernel, or step by step when recorded.
 
-    ``g`` is ``joint_gibbs(joint, beta)`` from ``_thermal_joint``, computed
-    once per runner call.
+    ``g`` and ``flat`` come from ``_thermal_joint``, computed once per
+    runner call.
     """
     N = joint.memory_dim
     if recorder is not None:
         return run_truncated(joint, beta, build_schedule("default", (i, j), N),
                              recorder)
     probs = joint.probs.copy()
-    _swap(probs, g, i, j, N)
+    _swap(probs, g, i, j, N, flat)
     return joint.replace_probs(probs)
 
 
@@ -313,9 +333,9 @@ def run_full_swap(state, system_spectrum, beta: float, levels, N: int, *,
     recorder the swap runs step by step through ``run_truncated``.
     """
     i, j = int(levels[0]), int(levels[1])
-    joint, g = _thermal_joint(state, system_spectrum, beta, [(i, j)], N,
-                              memory_spectrum)
-    joint = _swap_block(joint, g, beta, i, j, recorder)
+    joint, g, flat = _thermal_joint(state, system_spectrum, beta, [(i, j)], N,
+                                    memory_spectrum)
+    joint = _swap_block(joint, g, flat, beta, i, j, recorder)
     joint = thermalize_memory(joint, beta)
     if recorder is not None:
         recorder.record(joint.probs)
@@ -335,10 +355,10 @@ def run_composed(state, system_spectrum, beta: float, chain, N: int, *,
     if mode not in ("full", "truncated"):
         raise ValueError(f"mode must be 'full' or 'truncated', got {mode!r}")
     chain = [(int(i), int(j)) for i, j in chain]
-    joint, g = _thermal_joint(state, system_spectrum, beta, chain, N,
-                              memory_spectrum)
+    joint, g, flat = _thermal_joint(state, system_spectrum, beta, chain, N,
+                                    memory_spectrum)
     for (i, j) in chain:
-        joint = _swap_block(joint, g, beta, i, j, recorder)
+        joint = _swap_block(joint, g, flat, beta, i, j, recorder)
         if mode == "full":
             joint = thermalize_memory(joint, beta)
     if mode == "truncated":

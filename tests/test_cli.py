@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from memtp.cli import main
+from memtp.cli import _parse_target, main
 from memtp.export import rows_to_csv
 
 
@@ -36,6 +37,21 @@ def test_converge_json(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["config"]["beta"] == 0.2
     assert len(payload["rows"]) == 2
+
+
+def test_converge_targets():
+    assert _parse_target("cycle:4", 4) == (3, 0, 1, 2)
+    assert _parse_target("cycle:4:forward", 4) == (3, 0, 1, 2)
+    assert _parse_target("cycle:4:backward", 4) == (1, 2, 3, 0)
+    assert _parse_target("order:2,0,1", 3) == (2, 0, 1)
+    with pytest.raises(SystemExit, match=re.escape("forward|backward")):
+        _parse_target("cycle:4:sideways", 4)
+    for bad in ("cycle:3", "cycle:x"):
+        with pytest.raises(SystemExit, match="full cycles"):
+            _parse_target(bad, 4)
+    for bad in ("order:0,0,1", "order:0,1", "order:0,x,2"):
+        with pytest.raises(SystemExit, match=re.escape(repr(bad))):
+            main(["converge", "--state", "0.5,0.3,0.2", "--target", bad])
 
 
 def test_work_extract(tmp_path):
@@ -99,10 +115,18 @@ def test_free_energy(tmp_path):
           "--out", str(out)])
     config, header, rows = read_csv(out)
     assert header == ["step", "D_S", "D_M", "D_SM", "I_SM"]
+    assert config["memory"] == [8]
     assert len(rows) == 8 * 8 + 2
     assert config["monotone_joint"] is True
     d_joint = [float(r["D_SM"]) for r in rows]
     assert all(b <= a + 1e-10 for a, b in zip(d_joint, d_joint[1:]))
+    # the default --memory list runs its first entry only, and says so
+    main(["free-energy", "--out", str(out)])
+    config, _, rows = read_csv(out)
+    assert config["memory"] == [2]
+    assert len(rows) == 2 * 2 + 2
+    with pytest.raises(SystemExit):
+        main(["free-energy", "--memory", "", "--out", str(out)])
 
 
 def test_cone(tmp_path):

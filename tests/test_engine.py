@@ -6,7 +6,7 @@ from memtp import (TrajectoryRecorder, build_schedule, gibbs_state,
                    relative_entropy, run_composed, run_full_swap,
                    run_truncated, tensor, thermalize_memory, thermomajorizes,
                    total_variation, two_level_thermalize)
-from memtp.engine import FAMILIES, ProtocolSchedule
+from memtp.engine import FAMILIES, ProtocolSchedule, _swap, _thermal_joint
 
 
 def rand_state(rng, d):
@@ -216,6 +216,55 @@ def test_unrecorded_runners_equal_stepwise_reference(N, beta, graded):
     for mode in ("full", "truncated"):
         out = run_composed(p, E, beta, chain, N, mode=mode, memory_spectrum=em)
         assert np.array_equal(out, reference(chain, mode)), mode
+
+
+def memory_spectra(N, rng):
+    """Zero, constant, graded with ties, and sorted random memory levels."""
+    return {"zeros": np.zeros(N), "constant": np.full(N, 0.3),
+            "ties": np.repeat([0.0, 0.4, 1.1], -(-N // 3))[:N],
+            "random": np.sort(rng.uniform(0.0, 1.2, N))}
+
+
+@pytest.mark.parametrize("levels", [(0, 1), (2, 0)])
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 257])
+def test_swap_kernel_equals_default_schedule_on_the_whole_joint(N, beta,
+                                                                levels):
+    # every joint entry, not just the system marginal: a kernel that
+    # misroutes mass between memory slots of one row must fail here
+    rng = np.random.default_rng(N)
+    p = rand_state(rng, 3)
+    E = [0.0, 0.6, 1.5]
+    for name, em in memory_spectra(N, rng).items():
+        joint, g, flat = _thermal_joint(p, E, beta, [levels], N, em)
+        assert flat == (name in ("zeros", "constant") or N == 1
+                        or beta == 0.0)
+        probs = joint.probs.copy()
+        _swap(probs, g, *levels, N, flat)
+        ref = run_truncated(joint, beta, build_schedule("default", levels, N))
+        assert np.array_equal(probs, ref.probs), name
+
+
+@pytest.mark.parametrize("levels", [(0, 1), (1, 0)])
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 257])
+def test_swap_kernel_is_exact_with_one_underflowing_weight_per_cell(N,
+                                                                     levels):
+    # beta = 1000 on [0, 1]: the excited row of the Gibbs grid is all 0; a
+    # graded memory below 0.5 keeps the ground row positive
+    rng = np.random.default_rng(N)
+    spectra = memory_spectra(N, rng)
+    spectra["random"] *= 0.4
+    spectra["ties"] *= 0.4
+    for name, em in spectra.items():
+        joint, g, flat = _thermal_joint([0.5, 0.5], [0.0, 1.0], 1000.0,
+                                        [levels], N, em)
+        probs = joint.probs.copy()
+        with np.errstate(invalid="raise", divide="raise"):
+            _swap(probs, g, *levels, N, flat)
+            ref = run_truncated(joint, 1000.0,
+                                build_schedule("default", levels, N))
+        assert np.array_equal(probs, ref.probs), name
+        assert probs[N:].sum() == 0.0
 
 
 @pytest.mark.parametrize("runner", ["full_swap", "composed"])
