@@ -31,6 +31,13 @@ def _memory_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _level_pair(text: str) -> tuple[int, int]:
+    levels = tuple(_ints(text))
+    if len(levels) != 2 or levels[0] == levels[1]:
+        raise argparse.ArgumentTypeError("give two distinct levels i,j")
+    return levels
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beta", type=float, default=0.0,
                      help="bath inverse temperature")
@@ -107,7 +114,7 @@ def main(argv=None) -> int:
 
     p = subs.add_parser("free-energy", help="per-step divergence trace")
     _add_common(p)
-    p.add_argument("--levels", type=_ints, default=[0, 1])
+    p.add_argument("--levels", type=_level_pair, default=(0, 1))
 
     p = subs.add_parser("cone", help="export the future-cone vertices")
     _add_common(p)
@@ -179,7 +186,7 @@ def main(argv=None) -> int:
         N = args.memory[0]
         cfg["memory"] = [N]
         trace = xp.free_energy_trace(state, energies, args.beta,
-                                     tuple(args.levels), N)
+                                     args.levels, N)
         cfg["monotone_joint"] = trace["monotone_joint"]
         write_rows(args.out, trace["rows"], cfg, args.format)
 

@@ -1,21 +1,32 @@
 """Closed forms for the two-level memory-assisted swap protocol.
 
-For a two-level system started in (b, c) with an N-slot trivial memory, the
-default truncated protocol admits explicit entry-wise expressions built
-from binomial sums in the rescaled Gibbs factors of the level pair. These
-serve as an independent oracle for the step-by-step engine, and yield the
-two error functions whose large-N behaviour sets every convergence rate in
-the package.
+For a two-level system started in (b, c) with an N-slot trivial memory,
+the default truncated protocol has explicit entry-wise expressions. They
+serve as an independent oracle for the step-by-step engine, and give the
+two residuals whose large-N behaviour sets every convergence rate in the
+package.
 
-Sums are evaluated with multiplicative term updates in log space (naive
-factorials overflow long before N = 4096), weighted through a single
-log-sum-exp per sum. ``scipy.special`` is imported inside the functions
-that sum, so importing the package does not load scipy.
+With a flat memory spectrum every cell of the N×N thermalisation grid has
+the same factors rho = gamma_i / (gamma_i + gamma_j) and sigma = 1 - rho:
+it passes the fraction rho of its pair sum on along its row (the starting
+level) and sigma down its column (the target level), whichever channel
+the mass came in on. So each unit of input mass takes a directed random
+walk over the grid, and each final entry is an exit probability of that
+walk: the chance that a steps of one kind come before b steps of the
+other. That negative-binomial probability is one regularised incomplete
+beta value,
+
+    I_x(a, b) = P[Binomial(a + b - 1, x) >= a] = betainc(a, b, x).
+
+Mass that enters on the other channel takes one step fewer of one kind and
+one more of the other, which the ratio rho / sigma (or its inverse)
+accounts for. ``scipy.special`` is imported inside the functions that call
+``betainc``, so importing the package does not load scipy.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,89 +64,60 @@ class PairGibbsFactors:
         return cls(float(g[i] / (g[i] + g[j])))
 
 
-def _log_binom_series(log_t0: float, count: int, ratio_num, ratio_den,
-                      log_x: float) -> np.ndarray:
-    """log of terms t_u = t0 * prod_{v<u} x * ratio_num(v)/ratio_den(v)."""
-    out = np.empty(count)
-    lt = log_t0
-    for u in range(count):
-        out[u] = lt
-        lt += log_x + math.log(ratio_num(u)) - math.log(ratio_den(u))
-    return out
+def _slot(j: int, N: int) -> int:
+    j = operator.index(j)
+    if not 1 <= j <= operator.index(N):
+        raise ValueError(f"slot index j={j} outside 1..{N}")
+    return j
 
 
 def closed_form_entry_b(j: int, k: int, N: int, pair: PairGibbsFactors,
                         b: float, c: float) -> float:
     """Entry of memory slot j on the starting level after k protocol rounds.
 
-    Round 0 returns the initial value b. Indices are 1-based with
-    1 <= j <= N and 0 <= k <= N.
+    b I_rho(k, j) + c (rho/sigma) I_sigma(j, k); round 0 returns the initial
+    value b. Indices are 1-based with 1 <= j <= N and 0 <= k <= N.
     """
-    from scipy.special import logsumexp
+    from scipy.special import betainc
 
-    if not (1 <= j <= N):
-        raise ValueError(f"slot index j={j} outside 1..{N}")
-    if not (0 <= k <= N):
+    j = _slot(j, N)
+    k = operator.index(k)
+    if not 0 <= k <= N:
         raise ValueError(f"round index k={k} outside 0..{N}")
-    if k == 0:
-        return float(b)
-    gi, gj = pair.gamma_i, pair.gamma_j
-    lgi, lgj = math.log(gi), math.log(gj)
-    # sum over i < k of C(j+i-1, i) gi^i, prefactor gi * gj^(j-1)
-    c_part = math.exp(logsumexp(_log_binom_series(
-        lgi + (j - 1) * lgj, k, lambda u: j + u, lambda u: u + 1, lgi)))
-    # sum over 1 <= i <= j of C(j+k-1-i, k-1) gj^(j-i), prefactor gi^k;
-    # substituting u = j - i gives terms C(k-1+u, k-1) gj^u from u = 0
-    b_terms = _log_binom_series(
-        k * lgi, j, lambda u: k + u, lambda u: u + 1, lgj)
-    b_part = math.exp(logsumexp(b_terms))
-    return c * c_part + b * b_part
+    rho, sigma = pair.gamma_i, pair.gamma_j
+    return float(b * betainc(k, j, rho)
+                 + c * (rho / sigma) * betainc(j, k, sigma))
 
 
 def closed_form_entry_c(j: int, N: int, pair: PairGibbsFactors,
                         b: float, c: float) -> float:
     """Final entry of memory slot j on the target level after all N rounds.
 
-    The coefficient of c is the regularised incomplete beta value
-    I_{gamma_j}(N, j); the coefficient of b is the matching positive
-    binomial sum with the finite-N depletion factors 1 - gamma_j^(N-u)
-    kept explicitly.
+    b (sigma/rho) I_rho(j, N) + c I_sigma(N, j).
     """
-    from scipy.special import logsumexp
+    from scipy.special import betainc
 
-    if not (1 <= j <= N):
-        raise ValueError(f"slot index j={j} outside 1..{N}")
-    gi, gj = pair.gamma_i, pair.gamma_j
-    lgi, lgj = math.log(gi), math.log(gj)
-    c_terms = _log_binom_series(
-        N * lgj, j, lambda u: N + u, lambda u: u + 1, lgi)
-    c_part = math.exp(logsumexp(c_terms))
-    if j == 1:
-        b_part = gj * (-math.expm1(N * lgj)) / gi
-    else:
-        b_terms = _log_binom_series(
-            lgj + (j - 2) * lgi, N, lambda u: u + j - 1, lambda u: u + 1, lgj)
-        depletion = -np.expm1((N - np.arange(N)) * lgj)
-        b_part = math.exp(logsumexp(b_terms, b=depletion))
-    return c * c_part + b * b_part
+    j = _slot(j, N)
+    rho, sigma = pair.gamma_i, pair.gamma_j
+    return float(b * (sigma / rho) * betainc(j, N, rho)
+                 + c * betainc(N, j, sigma))
 
 
 def target_residual(N: int, pair: PairGibbsFactors) -> float:
     """Final population left on the swap's target level when starting there.
 
-    Exact finite sum (1/N) sum_j c_j^(N) at b = 0, c = 1, reduced to a
-    single weighted binomial sum. Vanishes as N grows: an ideal swap
-    empties the target level completely.
+    The mean over slots of I_sigma(N, j) (the target entries at b = 0,
+    c = 1), summed in closed form to I_sigma(N, N) - (rho/sigma)
+    I_sigma(N + 1, N - 1). Vanishes as N grows: an ideal swap empties the
+    target level completely.
     """
-    from scipy.special import logsumexp
+    from scipy.special import betainc
 
-    if N < 1:
+    if operator.index(N) < 1:
         raise ValueError("N must be >= 1")
-    gi, gj = pair.gamma_i, pair.gamma_j
-    terms = _log_binom_series(
-        N * math.log(gj), N, lambda u: N + u, lambda u: u + 1, math.log(gi))
-    weights = (N - np.arange(N)) / N
-    return float(math.exp(logsumexp(terms, b=weights)))
+    rho, sigma = pair.gamma_i, pair.gamma_j
+    return float(betainc(N, N, sigma)
+                 - rho / sigma * betainc(N + 1, N - 1, sigma))
 
 
 def start_residual(N: int, pair: PairGibbsFactors) -> float:

@@ -127,6 +127,11 @@ def test_free_energy(tmp_path):
     assert len(rows) == 2 * 2 + 2
     with pytest.raises(SystemExit):
         main(["free-energy", "--memory", "", "--out", str(out)])
+    # --levels names exactly one pair of distinct levels
+    for bad in ("0", "1,1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["free-energy", "--levels", bad, "--out", str(out)])
+        assert exc.value.code == 2
 
 
 def test_cone(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import betainc
@@ -101,6 +102,15 @@ def test_index_validation():
         closed_form_entry_b(2, 5, 4, pair, 1, 0)
     with pytest.raises(ValueError):
         closed_form_entry_c(5, 4, pair, 1, 0)
+    for args in [(2.5, 1, 4), (2, 2.5, 4), (2, 1, 4.5)]:
+        with pytest.raises(TypeError):
+            closed_form_entry_b(*args, pair, 1, 0)
+    with pytest.raises(TypeError):
+        closed_form_entry_c(2.5, 4, pair, 1, 0)
+    with pytest.raises(TypeError):
+        closed_form_entry_c(2, 4.5, pair, 1, 0)
+    with pytest.raises(TypeError):
+        target_residual(2.5, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +137,56 @@ def test_error_functions_match_cdf_identities():
         assert start_residual(N, pair) == pytest.approx(f_id, abs=1e-13)
 
 
+def _mp_betainc(a, b, x):
+    """I_x(a, b) in mpmath, for integer a, b >= 0 and the float x.
+
+    Small arguments (and the a = 0, b = 0 edges) sum the binomial tail
+    P[Binomial(a + b - 1, x) >= a]; larger ones use mpmath's betainc.
+    """
+    x = mpmath.mpf(x)
+    n = a + b - 1
+    if n <= 80 or a * b == 0:
+        return mpmath.fsum(mpmath.binomial(n, m) * x**m * (1 - x)**(n - m)
+                           for m in range(a, n + 1))
+    return mpmath.betainc(a, b, 0, x, regularized=True)
+
+
+@mpmath.workdps(50)
+def test_closed_forms_match_high_precision_oracle():
+    # every closed form against 50-digit references; the residual at N <= 40
+    # is the slot mean of the target entries, its definition. mpmath's
+    # betainc fails to converge for some arguments from N = 4096 on.
+    rng = np.random.default_rng(5)
+    for N in [1, 2, 3, 7, 16, 40, 64, 256, 1024, 2048]:
+        for sigma in rng.uniform(0.2, 0.85, size=3):
+            pair = PairGibbsFactors(1.0 - sigma)
+            rho, sigma = pair.gamma_i, pair.gamma_j
+            b = rng.uniform()
+            c = 1.0 - b
+            j = int(rng.integers(1, N + 1))
+            k = int(rng.integers(0, N + 1))
+            ref_b = (b * _mp_betainc(k, j, rho)
+                     + c * rho / sigma * _mp_betainc(j, k, sigma))
+            ref_c = (b * sigma / rho * _mp_betainc(j, N, rho)
+                     + c * _mp_betainc(N, j, sigma))
+            assert closed_form_entry_b(j, k, N, pair, b, c) == pytest.approx(
+                float(ref_b), abs=1e-13)
+            assert closed_form_entry_c(j, N, pair, b, c) == pytest.approx(
+                float(ref_c), abs=1e-13)
+            for p, x, y in [(target_residual, rho, sigma),
+                            (start_residual, sigma, rho)]:
+                if N <= 40:
+                    ref = mpmath.fsum(_mp_betainc(N, i, y)
+                                      for i in range(1, N + 1)) / N
+                else:
+                    ref = (_mp_betainc(N, N, y)
+                           - x / y * _mp_betainc(N + 1, N - 1, y))
+                assert p(N, pair) == pytest.approx(float(ref), abs=1e-13)
+
+
 def test_start_residual_beta0_large_N_limit():
     pair = PairGibbsFactors(0.5)
-    for N in [512, 4096]:
+    for N in [512, 4096, 100_000]:
         assert start_residual(N, pair) * math.sqrt(math.pi * N) == pytest.approx(
             1.0, abs=0.01)
 

@@ -12,7 +12,7 @@ MODULES = sorted(f"memtp.{m.name}" for m in pkgutil.iter_modules(memtp.__path__)
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported only inside the closed-form sums and critical_beta
+    # scipy is imported only inside the closed forms and critical_beta
     code = ("import sys, memtp.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
