@@ -183,6 +183,9 @@ def main(argv=None) -> int:
     elif args.command == "free-energy":
         state = args.state or [0.7, 0.2, 0.1]
         energies = args.energies or list(range(len(state)))
+        if not all(0 <= level < len(state) for level in args.levels):
+            raise SystemExit(f"--levels {args.levels[0]},{args.levels[1]}: "
+                             f"levels must lie in 0..{len(state) - 1}")
         N = args.memory[0]
         cfg["memory"] = [N]
         trace = xp.free_energy_trace(state, energies, args.beta,

@@ -6,12 +6,15 @@ grid; all supported traversal families visit every grid point exactly once.
 Schedules are stored as maximal "runs" that keep one joint entry active
 against a sweep of partner entries. ``run_truncated`` executes a schedule
 step by step; it is the reference executor and the only one that feeds a
-recorder. Unrecorded runs use a wavefront kernel that updates one
-anti-diagonal of the default schedule's grid per numpy slice operation,
-writing through two buffers made once per swap. With a flat memory
-spectrum (every row of the Gibbs grid constant) the cell factor
-g_a / (g_a + g_b) is one scalar per swap; graded memory computes it per
-cell. Either way the kernel is bitwise equal to the default schedule.
+recorder. It writes the states after the steps of one run into a stack
+and hands the recorder that stack in one call, which computes the traced
+quantities of all its rows at once. Unrecorded runs use a wavefront
+kernel that updates one anti-diagonal of the default schedule's grid per
+numpy slice operation, writing through two buffers made once per swap.
+With a flat memory spectrum (every row of the Gibbs grid constant) the
+cell factor g_a / (g_a + g_b) is one scalar per swap; graded memory
+computes it per cell. Either way the kernel is bitwise equal to the
+default schedule.
 """
 
 from __future__ import annotations
@@ -175,7 +178,9 @@ class TrajectoryRecorder:
     joint state to their thermal references, and the system-memory mutual
     information. Full joint copies are stored only when ``store_states``.
     Points are numbered in recording order, so a run of several swaps
-    carries one step index from 0 to its last step.
+    carries one step index from 0 to its last step. The reference executor
+    hands over one stack of states per schedule run, and ``record``
+    computes the fields of all its rows at once.
     """
 
     def __init__(self, template: JointState, beta: float,
@@ -188,36 +193,57 @@ class TrajectoryRecorder:
         self.points: list[dict] = []
 
     def record(self, probs: np.ndarray) -> None:
-        grid = probs.reshape(self.shape)
-        p_system = grid.sum(axis=1)
-        p_memory = grid.sum(axis=0)
-        pt = dict(
-            step=len(self.points),
-            d_system=relative_entropy(p_system, self.gamma_system),
-            d_memory=relative_entropy(p_memory, self.gamma_memory),
-            d_joint=relative_entropy(probs, self.gamma_joint),
-            mutual_information=relative_entropy(
-                probs, np.kron(p_system, p_memory)),
-        )
-        if self.store_states:
-            pt["joint"] = probs.copy()
-        self.points.append(pt)
+        """Append one point per joint state, in row order.
+
+        ``probs`` is one joint state (d*N,) or a stack of them (m, d*N).
+        Both marginals, the product of the marginals and the four relative
+        entropies are computed once over all rows; each value is bitwise
+        equal to recording the rows one at a time.
+        """
+        stack = np.atleast_2d(probs)
+        grids = stack.reshape(len(stack), *self.shape)
+        p_system = grids.sum(axis=2)
+        p_memory = grids.sum(axis=1)
+        product = p_system[:, :, None] * p_memory[:, None, :]
+        d_system = relative_entropy(p_system, self.gamma_system).tolist()
+        d_memory = relative_entropy(p_memory, self.gamma_memory).tolist()
+        d_joint = relative_entropy(stack, self.gamma_joint).tolist()
+        info = relative_entropy(stack, product.reshape(stack.shape)).tolist()
+        first = len(self.points)
+        for n, row in enumerate(stack):
+            pt = dict(step=first + n, d_system=d_system[n],
+                      d_memory=d_memory[n], d_joint=d_joint[n],
+                      mutual_information=info[n])
+            if self.store_states:
+                pt["joint"] = row.copy()
+            self.points.append(pt)
 
     def joint_divergences(self) -> np.ndarray:
         return np.array([pt["d_joint"] for pt in self.points])
 
 
 def _execute(probs: np.ndarray, g: np.ndarray, runs, recorder=None) -> None:
-    """Apply runs to probs in place, one elementary step at a time."""
+    """Apply runs to probs in place, one elementary step at a time.
+
+    With a recorder, the state after each step of a run is written into
+    one (len(run.partners), d*N) stack, and the run ends in one
+    ``recorder.record(stack)`` call. A run has at most N partners, so a
+    stack holds at most 8*d*N^2 bytes (24 KB at d = 3, N = 32).
+    """
     for run in runs:
         ga = g[run.active]
-        for p_idx in run.partners:
+        stack = None
+        if recorder is not None:
+            stack = np.empty((len(run.partners), probs.size))
+        for n, p_idx in enumerate(run.partners):
             s = probs[run.active] + probs[p_idx]
             w = ga / (ga + g[p_idx]) * s
             probs[run.active] = w
             probs[p_idx] = s - w
-            if recorder is not None:
-                recorder.record(probs)
+            if stack is not None:
+                stack[n] = probs
+        if stack is not None:
+            recorder.record(stack)
 
 
 def _swap(probs: np.ndarray, g: np.ndarray, i: int, j: int, N: int,

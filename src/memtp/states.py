@@ -183,20 +183,39 @@ def total_variation(p, q) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def relative_entropy(p, gamma) -> float:
+def _divergence(q, g):
+    return np.sum(q * (np.log(q) - np.log(g)), axis=-1)
+
+
+def relative_entropy(p, gamma):
     """Relative entropy D(p || gamma) in nats, with 0 log 0 := 0.
 
-    Raises if p puts mass where gamma vanishes (cannot happen for Gibbs
-    reference states at finite beta).
+    ``p`` is one distribution (n,) or a stack of them (m, n); ``gamma`` is
+    one reference (n,) for every row or one per row (m, n). A 1-d ``p``
+    gives a float, a stack an array of m values. A row with a zero entry
+    is summed over its positive entries only, so each stacked value is
+    bitwise equal to the 1-d call on its row. Raises if p puts mass where
+    gamma vanishes (cannot happen for Gibbs reference states at finite
+    beta).
     """
     p = np.asarray(p, dtype=float)
     g = np.asarray(gamma, dtype=float)
-    if p.shape != g.shape:
+    if p.ndim not in (1, 2) or g.shape not in (p.shape, p.shape[-1:]):
         raise ValueError(f"length mismatch: {p.shape} vs {g.shape}")
-    pos = p > 0.0
-    if np.any(g[pos] <= 0.0):
+    q = np.atleast_2d(p)
+    G = np.broadcast_to(g, q.shape)
+    pos = q > 0.0
+    if np.any(G[pos] <= 0.0):
         raise ValueError("p has mass where gamma vanishes")
-    return float(np.sum(p[pos] * (np.log(p[pos]) - np.log(g[pos]))))
+    full = pos.all(axis=1)
+    if full.all():
+        out = _divergence(q, g)
+    else:
+        out = np.empty(len(q))
+        out[full] = _divergence(q[full], G[full])
+        for r in np.flatnonzero(~full):
+            out[r] = _divergence(q[r][pos[r]], G[r][pos[r]])
+    return float(out[0]) if p.ndim == 1 else out
 
 
 @dataclass(frozen=True, eq=False)

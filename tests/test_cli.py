@@ -71,7 +71,8 @@ def test_work_extract_rejects_default_beta0_before_any_cell(monkeypatch):
     def no_cells(*args, **kwargs):
         raise AssertionError("a work cell ran")
 
-    monkeypatch.setattr("memtp.experiments.future_cone_vertices", no_cells)
+    monkeypatch.setattr("memtp.experiments.run_composed", no_cells)
+    monkeypatch.setattr("memtp.experiments.min_epsilon_transform", no_cells)
     with pytest.raises(ValueError, match="kink"):
         main(["work-extract", "--w-points", "2", "--memory", "1"])
 
@@ -132,6 +133,10 @@ def test_free_energy(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["free-energy", "--levels", bad, "--out", str(out)])
         assert exc.value.code == 2
+    # levels outside the state's 0..d-1 are named before any run
+    for bad in ("0,5", "-1,0"):
+        with pytest.raises(SystemExit, match=re.escape("0..2")):
+            main(["free-energy", f"--levels={bad}", "--out", str(out)])
 
 
 def test_cone(tmp_path):

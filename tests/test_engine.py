@@ -409,6 +409,48 @@ def test_recorder_rows_equal_recompute_from_stored_joint():
             assert pt["mutual_information"] == mutual_information(state)
 
 
+def test_stacked_record_equals_row_by_row_and_recompute():
+    # one record(stack) call gives the points of recording each row on its
+    # own, and every point equals a recompute from its stored joint; a
+    # source level at zero puts zero entries into the first rows
+    rng = np.random.default_rng(29)
+    for case in range(6):
+        d, N = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        beta = rng.uniform(0, 1.5)
+        E = np.sort(rng.uniform(0, 2, d))
+        em = np.sort(rng.uniform(0, 1, N)) if case % 2 else np.zeros(N)
+        p = rand_state(rng, d)
+        p[d - 1] = 0.0
+        p /= p.sum()
+        joint = tensor(p, gibbs_state(em, beta), E, em)
+        run = TrajectoryRecorder(joint, beta, store_states=True)
+        run_composed(p, E, beta, [(0, d - 1), (0, 1)], N, memory_spectrum=em,
+                     recorder=run)
+        stack = np.array([pt["joint"] for pt in run.points])
+        assert (stack == 0.0).any(axis=1).any()
+        stacked = TrajectoryRecorder(joint, beta, store_states=True)
+        stacked.record(stack)
+        rowwise = TrajectoryRecorder(joint, beta, store_states=True)
+        for row in stack:
+            rowwise.record(row)
+        gS, gM = gibbs_state(E, beta), gibbs_state(em, beta)
+        for a, b, c in zip(stacked.points, rowwise.points, run.points):
+            assert a.keys() == b.keys() == c.keys()
+            for key in ("step", "d_system", "d_memory", "d_joint",
+                        "mutual_information"):
+                assert a[key] == b[key] == c[key]
+            assert np.array_equal(a["joint"], b["joint"])
+            state = joint.replace_probs(a["joint"])
+            assert a["d_system"] == relative_entropy(
+                marginalize(state, "system"), gS)
+            assert a["d_memory"] == relative_entropy(
+                marginalize(state, "memory"), gM)
+            assert a["d_joint"] == relative_entropy(a["joint"],
+                                                    np.kron(gS, gM))
+            assert a["mutual_information"] == mutual_information(state)
+        assert [pt["step"] for pt in stacked.points] == list(range(len(stack)))
+
+
 def test_recorded_two_swap_run_numbers_steps_once():
     # one step index across all swaps: the initial state, then N^2 steps
     # per swap, with no restart at the second swap

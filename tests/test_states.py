@@ -226,6 +226,31 @@ def test_relative_entropy_values():
         relative_entropy([0.5, 0.5], [1.0, 0.0])
 
 
+def test_relative_entropy_on_a_stack_equals_rowwise_calls():
+    rng = np.random.default_rng(13)
+    for n in (1, 3, 8, 40, 301):
+        P = rng.dirichlet(np.ones(n), size=5)
+        P[1, 0] = 0.0
+        P[3, : (n + 1) // 2] = 0.0
+        g = rng.dirichlet(np.ones(n))
+        G = rng.dirichlet(np.ones(n), size=5)
+        for out, refs in ((relative_entropy(P, g), [g] * 5),
+                          (relative_entropy(P, G), G)):
+            assert isinstance(out, np.ndarray) and out.shape == (5,)
+            for row, ref, value in zip(P, refs, out):
+                assert value == relative_entropy(row, ref)
+                # zero entries are dropped before the sum, as in a 1-d row
+                # of the positive entries alone
+                q, r = row[row > 0.0], ref[row > 0.0]
+                assert value == np.sum(q * (np.log(q) - np.log(r)))
+        assert isinstance(relative_entropy(P[0], g), float)
+    with pytest.raises(ValueError, match="mismatch"):
+        relative_entropy(P, G[:3])
+    G[2, 5] = 0.0
+    with pytest.raises(ValueError, match="vanishes"):
+        relative_entropy(P, G)
+
+
 def test_relative_entropy_nonnegative_zero_only_at_gamma():
     rng = np.random.default_rng(12)
     g = gibbs_state([0.0, 0.7, 1.9], 0.8)
