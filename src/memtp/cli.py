@@ -28,6 +28,8 @@ def _memory_sizes(text: str) -> list[int]:
     sizes = _ints(text)
     if not sizes:
         raise argparse.ArgumentTypeError("give at least one memory size N")
+    if min(sizes) < 1:
+        raise argparse.ArgumentTypeError("memory sizes N must be >= 1")
     return sizes
 
 

@@ -5,16 +5,15 @@ of joint entries (i, k) x (j, l). A schedule fixes the visiting order of the
 grid; all supported traversal families visit every grid point exactly once.
 Schedules are stored as maximal "runs" that keep one joint entry active
 against a sweep of partner entries. ``run_truncated`` executes a schedule
-step by step; it is the reference executor and the only one that feeds a
-recorder. It writes the states after the steps of one run into a stack
-and hands the recorder that stack in one call, which computes the traced
-quantities of all its rows at once. Unrecorded runs use a wavefront
-kernel that updates one anti-diagonal of the default schedule's grid per
-numpy slice operation, writing through two buffers made once per swap.
-With a flat memory spectrum (every row of the Gibbs grid constant) the
-cell factor g_a / (g_a + g_b) is one scalar per swap; graded memory
-computes it per cell. Either way the kernel is bitwise equal to the
-default schedule.
+step by step and, with ``thermalize_memory``, is the reference the runners
+are tested against. The runners validate their inputs once and work in
+place on one (d, N) joint grid. Recorded swaps run the default schedule
+step by step; unrecorded ones use a wavefront kernel that updates one
+anti-diagonal of the default schedule's grid per numpy slice operation,
+writing through two buffers made once per swap. With a flat memory
+spectrum (every row of the Gibbs grid constant) the cell factor
+g_a / (g_a + g_b) is one scalar per swap; graded memory computes it per
+cell. Either way the kernel is bitwise equal to the default schedule.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .states import (JointState, distribution, gibbs_state, joint_gibbs,
-                     marginalize, relative_entropy, spectrum, tensor)
+                     marginalize, relative_entropy, spectrum)
 
 FAMILIES = ("default", "blue", "red", "cyan", "orange")
 
@@ -225,11 +224,14 @@ class TrajectoryRecorder:
 def _execute(probs: np.ndarray, g: np.ndarray, runs, recorder=None) -> None:
     """Apply runs to probs in place, one elementary step at a time.
 
-    With a recorder, the state after each step of a run is written into
-    one (len(run.partners), d*N) stack, and the run ends in one
-    ``recorder.record(stack)`` call. A run has at most N partners, so a
-    stack holds at most 8*d*N^2 bytes (24 KB at d = 3, N = 32).
+    With a recorder, an empty one first gets the initial state. The state
+    after each step of a run is written into one (len(run.partners), d*N)
+    stack, and the run ends in one ``recorder.record(stack)`` call. A run
+    has at most N partners, so a stack holds at most 8*d*N^2 bytes (24 KB
+    at d = 3, N = 32).
     """
+    if recorder is not None and not recorder.points:
+        recorder.record(probs)
     for run in runs:
         ga = g[run.active]
         stack = None
@@ -291,8 +293,6 @@ def run_truncated(joint: JointState, beta: float, schedule: ProtocolSchedule,
         raise ValueError("schedule levels out of range for state")
     g = joint_gibbs(joint, beta)
     probs = joint.probs.copy()
-    if recorder is not None and not recorder.points:
-        recorder.record(probs)
     _execute(probs, g, schedule.runs, recorder)
     return joint.replace_probs(probs)
 
@@ -305,13 +305,13 @@ def thermalize_memory(joint: JointState, beta: float) -> JointState:
 
 
 def _thermal_joint(state, system_spectrum, beta: float, pairs, N: int,
-                   memory_spectrum) -> tuple[JointState, np.ndarray, bool]:
-    """Validated runner input: the joint state, its Gibbs state and ``flat``.
+                   memory_spectrum) -> tuple:
+    """Validate runner input once: (joint grid, Gibbs grid, gm, flat).
 
-    The joint state is state (x) thermal memory. ``flat``, for ``_swap``,
-    says that every row of the (d, N) Gibbs grid is constant. A pair (i, j)
-    is rejected when rows i and j of the Gibbs grid each hold an underflowed
-    0: some cell of their swap would be 0/0.
+    The (d, N) joint grid is state (x) thermal memory gm. ``flat``, for
+    ``_swap``, says that every row of the Gibbs grid is constant. A pair
+    (i, j) is rejected when rows i and j of the Gibbs grid each hold an
+    underflowed 0: some cell of their swap would be 0/0.
     """
     p = distribution(state)
     if N < 1:
@@ -323,30 +323,38 @@ def _thermal_joint(state, system_spectrum, beta: float, pairs, N: int,
         if i == j or not (0 <= i < p.size and 0 <= j < p.size):
             raise ValueError(f"levels ({i}, {j}) must be two distinct indices "
                              f"in 0..{p.size - 1}")
-    joint = tensor(p, gibbs_state(em, beta), spectrum(system_spectrum), em)
-    g = joint_gibbs(joint, beta)
-    rows = g.reshape(p.size, N)
+    gm = gibbs_state(em, beta)
+    es = spectrum(system_spectrum)
+    if es.size != p.size:
+        raise ValueError("spectrum lengths must match state lengths")
+    g = np.outer(gibbs_state(es, beta), gm)
     for i, j in pairs:
-        if not (rows[i].all() or rows[j].all()):
+        if not (g[i].all() or g[j].all()):
             raise _underflow(i, j)
-    return joint, g, bool((rows == rows[:, :1]).all())
+    return np.outer(p, gm), g, gm, bool((g == g[:, :1]).all())
 
 
-def _swap_block(joint: JointState, g: np.ndarray, flat: bool, beta: float,
-                i: int, j: int,
-                recorder: TrajectoryRecorder | None) -> JointState:
-    """One swap of levels i and j: the kernel, or step by step when recorded.
+def _run_swaps(state, system_spectrum, beta: float, pairs, N: int,
+               memory_spectrum, full: bool,
+               recorder: TrajectoryRecorder | None) -> np.ndarray:
+    """Swap along ``pairs`` in place on one joint grid and return it.
 
-    ``g`` and ``flat`` come from ``_thermal_joint``, computed once per
-    runner call.
+    The memory is discarded after every swap when ``full``, else once.
     """
-    N = joint.memory_dim
-    if recorder is not None:
-        return run_truncated(joint, beta, build_schedule("default", (i, j), N),
-                             recorder)
-    probs = joint.probs.copy()
-    _swap(probs, g, i, j, N, flat)
-    return joint.replace_probs(probs)
+    grid, gibbs, gm, flat = _thermal_joint(state, system_spectrum, beta,
+                                           pairs, N, memory_spectrum)
+    probs, g = grid.reshape(-1), gibbs.reshape(-1)    # views of the grids
+    for i, j in pairs:
+        if recorder is None:
+            _swap(probs, g, i, j, N, flat)
+        else:
+            _execute(probs, g, build_schedule("default", (i, j), N).runs,
+                     recorder)
+        if full:
+            grid[:] = np.outer(grid.sum(axis=1), gm)
+    if not full:
+        grid[:] = np.outer(grid.sum(axis=1), gm)
+    return grid
 
 
 def run_full_swap(state, system_spectrum, beta: float, levels, N: int, *,
@@ -356,16 +364,15 @@ def run_full_swap(state, system_spectrum, beta: float, levels, N: int, *,
 
     Returns the final system marginal. The memory starts thermal; its
     spectrum defaults to trivial (all levels at zero energy). With a
-    recorder the swap runs step by step through ``run_truncated``.
+    recorder the swap runs step by step through the default schedule, and
+    the state after the memory discard is recorded too.
     """
-    i, j = int(levels[0]), int(levels[1])
-    joint, g, flat = _thermal_joint(state, system_spectrum, beta, [(i, j)], N,
-                                    memory_spectrum)
-    joint = _swap_block(joint, g, flat, beta, i, j, recorder)
-    joint = thermalize_memory(joint, beta)
+    grid = _run_swaps(state, system_spectrum, beta,
+                      [(int(levels[0]), int(levels[1]))], N, memory_spectrum,
+                      True, recorder)
     if recorder is not None:
-        recorder.record(joint.probs)
-    return marginalize(joint, "system")
+        recorder.record(grid.reshape(-1))
+    return grid.sum(axis=1)
 
 
 def run_composed(state, system_spectrum, beta: float, chain, N: int, *,
@@ -376,17 +383,10 @@ def run_composed(state, system_spectrum, beta: float, chain, N: int, *,
     ``mode="full"`` thermalises the memory after every block; "truncated"
     keeps the memory alive across blocks and thermalises once at the end.
     Returns the final system marginal. With a recorder every swap runs step
-    by step through ``run_truncated``.
+    by step through the default schedule.
     """
     if mode not in ("full", "truncated"):
         raise ValueError(f"mode must be 'full' or 'truncated', got {mode!r}")
     chain = [(int(i), int(j)) for i, j in chain]
-    joint, g, flat = _thermal_joint(state, system_spectrum, beta, chain, N,
-                                    memory_spectrum)
-    for (i, j) in chain:
-        joint = _swap_block(joint, g, flat, beta, i, j, recorder)
-        if mode == "full":
-            joint = thermalize_memory(joint, beta)
-    if mode == "truncated":
-        joint = thermalize_memory(joint, beta)
-    return marginalize(joint, "system")
+    return _run_swaps(state, system_spectrum, beta, chain, N, memory_spectrum,
+                      mode == "full", recorder).sum(axis=1)

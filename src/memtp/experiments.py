@@ -407,6 +407,8 @@ def free_energy_trace(state, energies, beta: float, levels, N: int, *,
     """
     p = distribution(state)
     E = spectrum(energies)
+    if N < 1:                   # before the template divides by N
+        raise ValueError("memory dimension N must be >= 1")
     joint0 = tensor(p, np.full(N, 1.0 / N), E, np.zeros(N))
     recorder = TrajectoryRecorder(joint0, beta, store_states=store_states)
     final = run_full_swap(p, E, beta, levels, N, recorder=recorder)

@@ -139,6 +139,17 @@ def test_free_energy(tmp_path):
             main(["free-energy", f"--levels={bad}", "--out", str(out)])
 
 
+@pytest.mark.parametrize("command",
+                         ["converge", "work-extract", "inaccessible",
+                          "free-energy"])
+def test_memory_sizes_below_one_are_usage_errors(command, tmp_path):
+    for bad in ("0", "-3", "4,0"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--memory={bad}", "--out",
+                  str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+
+
 def test_cone(tmp_path):
     out = tmp_path / "cone.json"
     main(["cone", "--state", "0.7,0.2,0.1", "--energies", "0,1,2",

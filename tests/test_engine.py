@@ -200,22 +200,44 @@ def test_unrecorded_runners_equal_stepwise_reference(N, beta, graded):
     em = np.sort(rng.uniform(0.0, 1.2, N)) if graded else np.zeros(N)
     chain = [(0, 1), (2, 1), (0, 2)]
 
-    def reference(pairs, mode):
-        joint = tensor(p, gibbs_state(em, beta), E, em)
+    template = tensor(p, gibbs_state(em, beta), E, em)
+
+    def reference(pairs, mode, recorder):
+        joint = template
         for i, j in pairs:
             joint = run_truncated(joint, beta,
-                                  build_schedule("default", (i, j), N))
+                                  build_schedule("default", (i, j), N),
+                                  recorder)
             if mode == "full":
                 joint = thermalize_memory(joint, beta)
         if mode == "truncated":
             joint = thermalize_memory(joint, beta)
-        return marginalize(joint, "system")
+        return joint
 
-    out = run_full_swap(p, E, beta, (2, 0), N, memory_spectrum=em)
-    assert np.array_equal(out, reference([(2, 0)], "truncated"))
-    for mode in ("full", "truncated"):
-        out = run_composed(p, E, beta, chain, N, mode=mode, memory_spectrum=em)
-        assert np.array_equal(out, reference(chain, mode)), mode
+    def recorders(recorded):
+        if not recorded:
+            return None, None
+        return (TrajectoryRecorder(template, beta),
+                TrajectoryRecorder(template, beta))
+
+    # with a recorder the runners take the step-by-step path; their outputs
+    # and every recorded point must match the reference's as well
+    for recorded in (False, True):
+        rec, ref = recorders(recorded)
+        out = run_full_swap(p, E, beta, (2, 0), N, memory_spectrum=em,
+                            recorder=rec)
+        joint = reference([(2, 0)], "truncated", ref)
+        assert np.array_equal(out, marginalize(joint, "system"))
+        if recorded:
+            ref.record(joint.probs)     # the full swap records its discard
+            assert rec.points == ref.points
+        for mode in ("full", "truncated"):
+            rec, ref = recorders(recorded)
+            out = run_composed(p, E, beta, chain, N, mode=mode,
+                               memory_spectrum=em, recorder=rec)
+            joint = reference(chain, mode, ref)
+            assert np.array_equal(out, marginalize(joint, "system")), mode
+            assert rec is None or rec.points == ref.points, mode
 
 
 def memory_spectra(N, rng):
@@ -236,10 +258,11 @@ def test_swap_kernel_equals_default_schedule_on_the_whole_joint(N, beta,
     p = rand_state(rng, 3)
     E = [0.0, 0.6, 1.5]
     for name, em in memory_spectra(N, rng).items():
-        joint, g, flat = _thermal_joint(p, E, beta, [levels], N, em)
+        grid, g, gm, flat = _thermal_joint(p, E, beta, [levels], N, em)
         assert flat == (name in ("zeros", "constant") or N == 1
                         or beta == 0.0)
-        probs = joint.probs.copy()
+        joint = tensor(p, gm, E, em)
+        probs, g = grid.ravel(), g.ravel()
         _swap(probs, g, *levels, N, flat)
         ref = run_truncated(joint, beta, build_schedule("default", levels, N))
         assert np.array_equal(probs, ref.probs), name
@@ -256,9 +279,10 @@ def test_swap_kernel_is_exact_with_one_underflowing_weight_per_cell(N,
     spectra["random"] *= 0.4
     spectra["ties"] *= 0.4
     for name, em in spectra.items():
-        joint, g, flat = _thermal_joint([0.5, 0.5], [0.0, 1.0], 1000.0,
-                                        [levels], N, em)
-        probs = joint.probs.copy()
+        grid, g, gm, flat = _thermal_joint([0.5, 0.5], [0.0, 1.0], 1000.0,
+                                           [levels], N, em)
+        joint = tensor([0.5, 0.5], gm, [0.0, 1.0], em)
+        probs, g = grid.ravel(), g.ravel()
         with np.errstate(invalid="raise", divide="raise"):
             _swap(probs, g, *levels, N, flat)
             ref = run_truncated(joint, 1000.0,
@@ -271,11 +295,11 @@ def test_swap_kernel_is_exact_with_one_underflowing_weight_per_cell(N,
 def test_runners_reject_bad_input(runner):
     p, E = [0.5, 0.3, 0.2], [0.0, 1.0, 2.0]
 
-    def call(levels, N, memory_spectrum=None):
+    def call(levels, N, memory_spectrum=None, energies=E):
         if runner == "full_swap":
-            return run_full_swap(p, E, 0.5, levels, N,
+            return run_full_swap(p, energies, 0.5, levels, N,
                                  memory_spectrum=memory_spectrum)
-        return run_composed(p, E, 0.5, [(0, 1), levels], N,
+        return run_composed(p, energies, 0.5, [(0, 1), levels], N,
                             memory_spectrum=memory_spectrum)
 
     for levels in [(1, 1), (0, 3), (-1, 0)]:
@@ -285,6 +309,9 @@ def test_runners_reject_bad_input(runner):
         call((0, 1), 0)
     with pytest.raises(ValueError, match="memory spectrum length"):
         call((0, 1), 4, memory_spectrum=[0.0, 1.0])
+    for energies in ([0.0, 1.0], [0.0, 1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="spectrum lengths must match"):
+            call((0, 1), 4, energies=energies)
 
 
 def test_runners_reject_pairs_whose_gibbs_weights_underflow():

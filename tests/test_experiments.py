@@ -366,6 +366,12 @@ def test_free_energy_trace_monotone_joint_and_dip():
         assert mi[-1] < 1e-12                  # product after discard
 
 
+def test_free_energy_trace_rejects_empty_memory():
+    # the runner's error, not a ZeroDivisionError from the recorder template
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        free_energy_trace([0.7, 0.2, 0.1], [0, 1, 2], 0.5, (0, 1), 0)
+
+
 def test_free_energy_trace_thermal_input_is_flat():
     g = gibbs_state([0, 1, 2], 0.5)
     trace = free_energy_trace(g, [0, 1, 2], 0.5, (0, 1), 8)
