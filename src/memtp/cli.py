@@ -12,6 +12,7 @@ import sys
 import numpy as np
 
 from . import experiments as xp
+from .cones import CapacityError
 from .export import write_rows
 from .states import distribution, gibbs_state
 
@@ -198,8 +199,18 @@ def main(argv=None) -> int:
     elif args.command == "cone":
         state = distribution(args.state or [0.7, 0.2, 0.1])
         energies = args.energies or list(range(len(state)))
+        if len(energies) != len(state):
+            raise SystemExit(f"--energies has {len(energies)} levels but "
+                             f"--state has {len(state)}")
         gamma = gibbs_state(energies, args.beta)
-        payload = xp.cone_export(state, gamma)
+        if not np.all(gamma > 0.0):
+            raise SystemExit(f"--beta {args.beta}: the Gibbs weights of "
+                             f"levels {np.flatnonzero(gamma == 0.0).tolist()} "
+                             "underflow to 0")
+        try:
+            payload = xp.cone_export(state, gamma)
+        except CapacityError as exc:
+            raise SystemExit(f"--state: {exc}") from None
         rows = [{"order": v["order"], "state": v["state"]}
                 for v in payload["vertices"]]
         write_rows(args.out, rows, cfg, args.format)

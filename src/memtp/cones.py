@@ -11,6 +11,7 @@ target order change into neighbour transpositions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -77,8 +78,19 @@ def future_cone_vertices(p, gamma) -> list[ExtremePoint]:
     """All distinct vertex candidates of the future thermal cone of p.
 
     Enumerates one candidate per permutation (d! of them, guarded at
-    ``MAX_ENUM_DIM``) and drops duplicates closer than ``VERTEX_DEDUP_TOL``
-    in total variation. Every returned state is thermomajorised by p.
+    ``MAX_ENUM_DIM``) and keeps a candidate when it lies farther than
+    ``VERTEX_DEDUP_TOL`` in total variation from every vertex kept before
+    it. Every returned state is thermomajorised by p.
+
+    Kept vertices are filed in buckets of one scalar key,
+    ``floor(state @ w / width)`` with ``w = linspace(1, 0.5, d)`` and
+    ``width = 4 * VERTEX_DEDUP_TOL``, and a candidate is compared only with
+    those in its own and the two neighbouring buckets. This skips no
+    duplicate: two states within total variation tol differ by at most
+    2 * tol in 1-norm, so their projections on w (max |w| = 1) differ by at
+    most 2 * tol, half a bucket. Float rounding of the dot product is of
+    order d * 1e-16, far below the other half, so the keys of a duplicate
+    pair differ by at most one.
     """
     p = distribution(p)
     g = distribution(gamma)
@@ -86,12 +98,18 @@ def future_cone_vertices(p, gamma) -> list[ExtremePoint]:
     if d > MAX_ENUM_DIM:
         raise CapacityError(
             f"dimension {d} exceeds enumeration guard {MAX_ENUM_DIM}")
+    w = np.linspace(1.0, 0.5, d)
+    width = 4.0 * VERTEX_DEDUP_TOL
+    buckets: dict[int, list[np.ndarray]] = {}
     vertices: list[ExtremePoint] = []
     for perm in permutations(range(d)):
         cand = extreme_point(p, g, perm)
-        if all(total_variation(cand.state, v.state) > VERTEX_DEDUP_TOL
-               for v in vertices):
+        key = math.floor(cand.state @ w / width)
+        if all(total_variation(cand.state, kept) > VERTEX_DEDUP_TOL
+               for k in (key - 1, key, key + 1)
+               for kept in buckets.get(k, ())):
             vertices.append(cand)
+            buckets.setdefault(key, []).append(cand.state)
     return vertices
 
 

@@ -426,7 +426,7 @@ def free_energy_trace(state, energies, beta: float, levels, N: int, *,
 
 def cone_export(state, gamma) -> dict:
     """All future-cone vertices of a state, JSON-ready."""
-    verts = future_cone_vertices(distribution(state), distribution(gamma))
+    verts = future_cone_vertices(state, gamma)
     return {"vertices": [
         {"order": [int(k) for k in v.order.order],
          "state": [float(x) for x in v.state]}

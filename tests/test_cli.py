@@ -164,3 +164,17 @@ def test_cone(tmp_path):
 def test_csv_floats_carry_17_significant_digits():
     text = rows_to_csv([{"x": 1.0 / 3.0}])
     assert "0.33333333333333331" in text
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--state", ",".join(["0.125"] * 8 + ["0"])],
+     "--state: dimension 9 exceeds enumeration guard 8"),
+    (["--state", "0.7,0.2,0.1", "--energies", "0,1"],
+     "--energies has 2 levels but --state has 3"),
+    (["--state", "0.7,0.2,0.1", "--beta", "1000"],
+     "levels [1, 2] underflow to 0"),
+])
+def test_cone_input_errors_name_the_problem(argv, message, tmp_path):
+    with pytest.raises(SystemExit, match=re.escape(message)) as exc:
+        main(["cone", *argv, "--out", str(tmp_path / "cone.csv")])
+    assert isinstance(exc.value.code, str)

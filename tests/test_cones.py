@@ -8,6 +8,7 @@ from memtp import (CapacityError, beta_cycle_permutation, beta_order,
                    beta_swap_matrix, decompose_neighbour_transpositions,
                    extreme_point, future_cone_vertices, gibbs_state,
                    thermomajorizes, total_variation)
+from memtp.cones import VERTEX_DEDUP_TOL
 
 
 def rand_state(rng, d):
@@ -102,6 +103,93 @@ def test_all_vertices_thermomajorised_by_source():
 def test_dimension_guard():
     with pytest.raises(CapacityError):
         future_cone_vertices(np.ones(9) / 9, np.ones(9) / 9)
+
+
+def all_pairs_vertices(p, gamma):
+    """Greedy dedup oracle: each candidate against every kept vertex.
+
+    One row per kept vertex; half the row sums of |kept - state| are the
+    same floats as ``total_variation`` (one sum over d entries per row).
+    """
+    d = len(p)
+    kept = np.empty((math.factorial(d), d))
+    vertices = []
+    for perm in permutations(range(d)):
+        cand = extreme_point(p, gamma, perm)
+        n = len(vertices)
+        tv = 0.5 * np.abs(kept[:n] - cand.state).sum(axis=1)
+        if np.all(tv > VERTEX_DEDUP_TOL):
+            kept[n] = cand.state
+            vertices.append(cand)
+    return vertices
+
+
+def assert_same_vertices(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.order == b.order
+        assert np.array_equal(a.state, b.state)
+
+
+def test_bucketed_dedup_matches_all_pairs_oracle():
+    rng = np.random.default_rng(14)
+    kinds = ("dense", "sparse", "thermal")
+    for case in range(300):
+        # 1440 extreme_point calls make a d = 6 case slow: every 16th case,
+        # which cycles it through the three kinds
+        d = 6 if case % 16 == 0 else int(rng.integers(1, 6))
+        flat = rng.random() < 0.3
+        g = np.ones(d) / d if flat else gibbs_state(
+            rng.uniform(0, 2, d), rng.uniform(0, 2))
+        kind = kinds[case % 3]
+        if kind == "thermal":
+            p = g
+        else:
+            p = rand_state(rng, d)
+            if kind == "sparse":
+                p[rng.random(d) < 0.4] = 0.0
+                p = p / p.sum() if p.sum() > 0 else np.eye(d)[0]
+        assert_same_vertices(future_cone_vertices(p, g),
+                             all_pairs_vertices(p, g))
+
+
+@pytest.mark.parametrize("delta, halves",
+                         [(1e-13, True), (9e-13, True), (1e-11, False)])
+def test_duplicates_at_the_dedup_tolerance(delta, halves):
+    # at beta = 0 the vertices are the permutations of p; swapping the
+    # entries 0.1 and 0.1 + delta moves a vertex by delta in TV
+    d = 5
+    p = np.array([0.1, 0.1 + delta, 0.35, 0.2, 0.25 - delta])
+    g = np.ones(d) / d
+    verts = future_cone_vertices(p, g)
+    assert len(verts) == math.factorial(d) // (2 if halves else 1)
+    assert_same_vertices(verts, all_pairs_vertices(p, g))
+
+
+def test_one_level_cone_is_the_state():
+    verts = future_cone_vertices([1.0], [1.0])
+    assert len(verts) == 1
+    assert np.array_equal(verts[0].state, [1.0])
+    assert verts[0].order.order == (0,)
+
+
+def test_beta0_vertex_count_is_distinct_permutations():
+    g = np.ones(6) / 6
+    for p in ([0.3, 0.3, 0.1, 0.1, 0.1, 0.1], [0.25, 0.25, 0.2, 0.2, 0.1, 0.0],
+              [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]):
+        counts = np.unique(p, return_counts=True)[1]
+        distinct = math.factorial(6) // math.prod(
+            math.factorial(int(c)) for c in counts)
+        assert len(future_cone_vertices(p, g)) == distinct
+
+
+def test_seven_level_cone_finishes_inside_the_cone():
+    rng = np.random.default_rng(7)
+    p = rand_state(rng, 7)
+    g = gibbs_state(rng.uniform(0, 2, 7), 0.4)
+    verts = future_cone_vertices(p, g)
+    assert len(verts) > 1000
+    assert all(thermomajorizes(p, v.state, g) for v in verts)
 
 
 # ---------------------------------------------------------------------------
