@@ -1,7 +1,10 @@
 """Command-line drivers for the experiment scenarios.
 
 Subcommands: converge, work-extract, cool, inaccessible, free-energy,
-cone. Results are written as CSV (default) or JSON, to --out or stdout.
+cone. Each takes only the options it reads (``COMMANDS``, drawn from the
+one table ``OPTIONS``), and those options head its output as the config.
+Results are written as CSV (default) or JSON, to --out or stdout. An input
+the library rejects ends the run with exit status 1 and one line.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ import sys
 import numpy as np
 
 from . import experiments as xp
-from .cones import CapacityError
 from .export import write_rows
-from .states import distribution, gibbs_state
+from .states import gibbs_state
 
 
 def _floats(text: str) -> list[float]:
@@ -34,6 +36,18 @@ def _memory_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _memory_size(text: str) -> int:
+    (N,) = _memory_sizes(text)  # argparse reports a list as invalid
+    return N
+
+
+def _gap_pair(text: str) -> list[float]:
+    gaps = _floats(text)
+    if len(gaps) != 2:
+        raise argparse.ArgumentTypeError("give two gaps E_S,E_M")
+    return gaps
+
+
 def _level_pair(text: str) -> tuple[int, int]:
     levels = tuple(_ints(text))
     if len(levels) != 2 or levels[0] == levels[1]:
@@ -41,24 +55,60 @@ def _level_pair(text: str) -> tuple[int, int]:
     return levels
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--beta", type=float, default=0.0,
-                     help="bath inverse temperature")
-    sub.add_argument("--dims", type=_ints, default=None,
-                     help="comma list of system dimensions")
-    sub.add_argument("--state", type=_floats, default=None,
-                     help="comma list of initial populations")
-    sub.add_argument("--energies", type=_floats, default=None,
-                     help="comma list of energy levels")
-    sub.add_argument("--memory", type=_memory_sizes,
-                     default=[2, 4, 8, 16, 32],
-                     help="comma list of memory sizes N")
-    sub.add_argument("--mode", choices=["full", "truncated"],
-                     default="truncated")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=["csv", "json"], default="csv")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized suites, recorded in the output")
+# Every option of every subcommand: flag -> argparse keywords.
+OPTIONS = {
+    "--beta": dict(type=float, default=0.0, help="bath inverse temperature"),
+    "--dims": dict(type=_ints, help="comma list of system dimensions"),
+    "--state": dict(type=_floats, default=[0.7, 0.2, 0.1],
+                    help="comma list of initial populations"),
+    "--energies": dict(type=_floats, help="comma list of energy levels"),
+    "--memory": dict(type=_memory_sizes, default=[2, 4, 8, 16, 32],
+                     help="comma list of memory sizes N"),
+    "--mode": dict(choices=["full", "truncated"], default="truncated"),
+    "--target": dict(default="reversal", help="'reversal', "
+                     "'cycle:<d>[:forward|backward]' or 'order:a,b,...'"),
+    "--gap": dict(type=float, default=1.0, help="system splitting"),
+    "--beta-source": dict(type=float, default=2.0),
+    "--w-min": dict(type=float, default=-0.5),
+    "--w-max": dict(type=float, default=2.0),
+    "--w-points": dict(type=int, default=50),
+    "--beta-factor": dict(type=float, default=1.1),
+    "--grid-sample": dict(type=int, default=0,
+                          help="sample this many random 4-level spectra"),
+    "--seed": dict(type=int, default=0, help="seed of --grid-sample"),
+    "--levels": dict(type=_level_pair, default=(0, 1)),
+    "--out": dict(help="output path (default stdout)"),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+}
+
+# subcommand -> (help, the options it reads besides --out and --format)
+COMMANDS = {
+    "converge": ("distance to a cone vertex vs N", ("--beta", "--state",
+                 "--energies", "--memory", "--mode", "--target")),
+    "work-extract": ("battery charging error vs N", ("--beta", "--memory",
+                     "--gap", "--beta-source", "--w-min", "--w-max",
+                     "--w-points")),
+    "cool": ("two-level cooling with two-level memory",
+             ("--beta", "--energies")),
+    "inaccessible": ("convergence to the inaccessible state", ("--dims",
+                     "--energies", "--memory", "--beta-factor",
+                     "--grid-sample", "--seed")),
+    "free-energy": ("per-step divergence trace", ("--beta", "--state",
+                    "--energies", "--memory", "--levels")),
+    "cone": ("export the future-cone vertices",
+             ("--beta", "--state", "--energies")),
+}
+
+# (subcommand, flag) -> keywords that replace the table's there
+OVERRIDES = {
+    ("converge", "--state"): dict(default=[0.37, 0.24, 0.16, 0.11, 0.07,
+                                           0.05]),
+    ("work-extract", "--beta"): dict(default=1.0),
+    ("cool", "--energies"): dict(type=_gap_pair, default=[1.0, 0.4],
+                                 help="system and memory gaps E_S,E_M"),
+    ("free-energy", "--memory"): dict(type=_memory_size, default=2,
+                                      help="memory size N"),
+}
 
 
 def _parse_target(text: str, d: int):
@@ -87,69 +137,42 @@ def _parse_target(text: str, d: int):
     raise SystemExit(f"cannot parse target {text!r}")
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memtp",
         description="memory-assisted Markovian thermal process experiments")
     subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags) in COMMANDS.items():
+        # no prefixes: inaccessible --beta must not mean --beta-factor
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in (*flags, "--out", "--format"):
+            sub.add_argument(flag, **{**OPTIONS[flag],
+                                      **OVERRIDES.get((name, flag), {})})
+    return parser
 
-    p = subs.add_parser("converge", help="distance to a cone vertex vs N")
-    _add_common(p)
-    p.add_argument("--target", default="reversal",
-                   help="'reversal', 'cycle:<d>[:forward|backward]' or 'order:a,b,...'")
 
-    p = subs.add_parser("work-extract", help="battery charging error vs N")
-    _add_common(p)
-    p.add_argument("--gap", type=float, default=1.0, help="system splitting")
-    p.add_argument("--beta-source", type=float, default=2.0)
-    p.add_argument("--w-min", type=float, default=-0.5)
-    p.add_argument("--w-max", type=float, default=2.0)
-    p.add_argument("--w-points", type=int, default=50)
-
-    p = subs.add_parser("cool", help="two-level cooling with two-level memory")
-    _add_common(p)
-
-    p = subs.add_parser("inaccessible", help="convergence to the inaccessible state")
-    _add_common(p)
-    p.add_argument("--beta-factor", type=float, default=1.1)
-    p.add_argument("--grid-sample", type=int, default=0,
-                   help="sample this many random 4-level spectra instead")
-
-    p = subs.add_parser("free-energy", help="per-step divergence trace")
-    _add_common(p)
-    p.add_argument("--levels", type=_level_pair, default=(0, 1))
-
-    p = subs.add_parser("cone", help="export the future-cone vertices")
-    _add_common(p)
-
-    args = parser.parse_args(argv)
-    cfg = {k: v for k, v in vars(args).items()
-           if k not in ("command", "out", "format") and v is not None}
-
+def _run(args, cfg: dict) -> list[dict]:
+    """Rows of one subcommand run; results beyond the rows go into cfg."""
     if args.command == "converge":
-        state = args.state or [0.37, 0.24, 0.16, 0.11, 0.07, 0.05]
-        energies = args.energies or list(range(len(state)))
-        rows = xp.converge_sweep(state, energies, args.beta,
-                                 _parse_target(args.target, len(state)),
+        energies = args.energies or list(range(len(args.state)))
+        return xp.converge_sweep(args.state, energies, args.beta,
+                                 _parse_target(args.target, len(args.state)),
                                  args.memory, mode=args.mode)
-        write_rows(args.out, rows, cfg, args.format)
 
-    elif args.command == "work-extract":
+    if args.command == "work-extract":
         config = xp.WorkExtractionConfig(
             gap=args.gap, beta_source=args.beta_source, beta=args.beta,
             works=tuple(np.linspace(args.w_min, args.w_max, args.w_points)),
             memory_sizes=tuple(args.memory))
         result = xp.work_extraction(config)
         eps_to = {r["W"]: r["epsilon_to"] for r in result.reference}
-        rows = [dict(r, epsilon_to=eps_to[r["W"]]) for r in result.rows]
         cfg["kink"] = result.kink
         cfg["monotone"] = result.monotone
-        write_rows(args.out, rows, cfg, args.format)
+        return [dict(r, epsilon_to=eps_to[r["W"]]) for r in result.rows]
 
-    elif args.command == "cool":
-        energies = args.energies or [1.0, 0.4]
-        report = xp.cooling_demo(energies[0], energies[1], args.beta)
-        rows = [{
+    if args.command == "cool":
+        report = xp.cooling_demo(*args.energies, args.beta)
+        return [{
             "q_engine_ground": report.q_engine[0],
             "q_engine_excited": report.q_engine[1],
             "q_closed_form_ground": report.q_closed_form[0],
@@ -157,64 +180,49 @@ def main(argv=None) -> int:
             "distance_engine": report.distance_engine,
             "distance_closed_form": report.distance_closed_form,
         }]
-        write_rows(args.out, rows, cfg, args.format)
 
-    elif args.command == "inaccessible":
+    if args.command == "inaccessible":
+        rows = []
         if args.grid_sample:
             rng = np.random.default_rng(args.seed)
-            rows = []
             for sample in range(args.grid_sample):
                 e1, e2 = np.sort(rng.integers(1, 64, size=2) / 64.0)
                 if e1 == e2:
                     e2 = e1 + 1.0 / 64.0
                 res = xp.inaccessible_convergence(
                     [0.0, e1, e2, 1.0], args.beta_factor, args.memory)
-                for r in res.rows:
-                    rows.append(dict(r, sample=sample, e1=e1, e2=e2))
-            write_rows(args.out, rows, cfg, args.format)
+                rows += [dict(r, sample=sample, e1=e1, e2=e2)
+                         for r in res.rows]
         else:
-            dims = args.dims or [3, 4, 5, 6]
-            rows = []
-            for d in dims:
+            for d in args.dims or [3, 4, 5, 6]:
                 energies = args.energies or list(range(d))
                 res = xp.inaccessible_convergence(energies, args.beta_factor,
                                                   args.memory)
-                for r in res.rows:
-                    rows.append(dict(r, d=d, beta_crit=res.beta_crit))
-            write_rows(args.out, rows, cfg, args.format)
+                rows += [dict(r, d=d, beta_crit=res.beta_crit)
+                         for r in res.rows]
+        return rows
 
-    elif args.command == "free-energy":
-        state = args.state or [0.7, 0.2, 0.1]
-        energies = args.energies or list(range(len(state)))
-        if not all(0 <= level < len(state) for level in args.levels):
-            raise SystemExit(f"--levels {args.levels[0]},{args.levels[1]}: "
-                             f"levels must lie in 0..{len(state) - 1}")
-        N = args.memory[0]
-        cfg["memory"] = [N]
-        trace = xp.free_energy_trace(state, energies, args.beta,
-                                     args.levels, N)
+    if args.command == "free-energy":
+        energies = args.energies or list(range(len(args.state)))
+        trace = xp.free_energy_trace(args.state, energies, args.beta,
+                                     args.levels, args.memory)
         cfg["monotone_joint"] = trace["monotone_joint"]
-        write_rows(args.out, trace["rows"], cfg, args.format)
+        return trace["rows"]
 
-    elif args.command == "cone":
-        state = distribution(args.state or [0.7, 0.2, 0.1])
-        energies = args.energies or list(range(len(state)))
-        if len(energies) != len(state):
-            raise SystemExit(f"--energies has {len(energies)} levels but "
-                             f"--state has {len(state)}")
-        gamma = gibbs_state(energies, args.beta)
-        if not np.all(gamma > 0.0):
-            raise SystemExit(f"--beta {args.beta}: the Gibbs weights of "
-                             f"levels {np.flatnonzero(gamma == 0.0).tolist()} "
-                             "underflow to 0")
-        try:
-            payload = xp.cone_export(state, gamma)
-        except CapacityError as exc:
-            raise SystemExit(f"--state: {exc}") from None
-        rows = [{"order": v["order"], "state": v["state"]}
-                for v in payload["vertices"]]
-        write_rows(args.out, rows, cfg, args.format)
+    # cone
+    energies = args.energies or list(range(len(args.state)))
+    gamma = gibbs_state(energies, args.beta)
+    return xp.cone_export(args.state, gamma)["vertices"]
 
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    cfg = {k: v for k, v in vars(args).items()
+           if k not in ("command", "out", "format") and v is not None}
+    try:
+        write_rows(args.out, _run(args, cfg), cfg, args.format)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"memtp {args.command}: {exc}")
     return 0
 
 

@@ -395,8 +395,7 @@ def inaccessible_convergence(energies, beta_factor: float, memory_sizes,
 # free-energy traces and cone export
 # ---------------------------------------------------------------------------
 
-def free_energy_trace(state, energies, beta: float, levels, N: int, *,
-                      store_states: bool = False) -> dict:
+def free_energy_trace(state, energies, beta: float, levels, N: int) -> dict:
     """Per-step divergences and mutual information along a full swap protocol.
 
     Records relative entropies of system, memory and joint state (natural
@@ -410,7 +409,7 @@ def free_energy_trace(state, energies, beta: float, levels, N: int, *,
     if N < 1:                   # before the template divides by N
         raise ValueError("memory dimension N must be >= 1")
     joint0 = tensor(p, np.full(N, 1.0 / N), E, np.zeros(N))
-    recorder = TrajectoryRecorder(joint0, beta, store_states=store_states)
+    recorder = TrajectoryRecorder(joint0, beta)
     final = run_full_swap(p, E, beta, levels, N, recorder=recorder)
     rows = [{"step": pt["step"], "D_S": pt["d_system"],
              "D_M": pt["d_memory"], "D_SM": pt["d_joint"],

@@ -25,22 +25,15 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _plain(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value]
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
+def _tolist(value):
+    return value.tolist()
 
 
 def rows_to_csv(rows: list[dict], config: dict | None = None) -> str:
     lines = []
     if config is not None:
-        lines.append("# config: " + json.dumps(_plain(config), sort_keys=True))
+        lines.append("# config: " + json.dumps(config, sort_keys=True,
+                                               default=_tolist))
     if rows:
         keys = list(rows[0].keys())
         lines.append(",".join(keys))
@@ -50,8 +43,8 @@ def rows_to_csv(rows: list[dict], config: dict | None = None) -> str:
 
 
 def rows_to_json(rows: list[dict], config: dict | None = None) -> str:
-    return json.dumps({"config": _plain(config or {}),
-                       "rows": [_plain(r) for r in rows]}, indent=2) + "\n"
+    return json.dumps({"config": config or {}, "rows": rows}, indent=2,
+                      default=_tolist) + "\n"
 
 
 def write_rows(path: str | Path | None, rows: list[dict],

@@ -53,20 +53,16 @@ def correction_operator(d: int, chain) -> np.ndarray:
     For a chain of transpositions P_1 ... P_m (P_1 applied first) this is
     sum_l (P_m ... P_{l+1}) (1 - P_l) (P_{l-1} ... P_1): each summand
     replaces the l-th swap by its error direction and carries the rest of
-    the chain through.
+    the chain through. One pass builds it, D <- P D + (1 - P) M, M <- P M
+    from D = 0, M = 1; every entry is a small integer, so the sum is exact.
     """
-    mats = [transposition_matrix(d, i, j) for (i, j) in chain]
-    m = len(mats)
-    prefix = [np.eye(d)]
-    for k in range(m):
-        prefix.append(mats[k] @ prefix[-1])
-    suffix = [np.eye(d)]
-    for k in range(m - 1, -1, -1):
-        suffix.append(suffix[-1] @ mats[k])
-    suffix.reverse()  # suffix[l] = P_m ... P_{l+1} with 1-based l
+    eye = np.eye(d)
     total = np.zeros((d, d))
-    for l in range(m):
-        total += suffix[l + 1] @ (np.eye(d) - mats[l]) @ prefix[l]
+    carried = eye
+    for (i, j) in chain:
+        P = transposition_matrix(d, i, j)
+        total = P @ total + (eye - P) @ carried
+        carried = P @ carried
     return total
 
 

@@ -104,9 +104,11 @@ def _check_pair(p, gamma) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(p, dtype=float)
     g = np.asarray(gamma, dtype=float)
     if p.shape != g.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {g.shape}")
+        raise ValueError(f"state has {p.size} levels but gamma has {g.size}")
     if np.any(g <= 0.0):
-        raise ValueError("gamma must be strictly positive")
+        raise ValueError("gamma must be strictly positive: the Gibbs weights "
+                         f"of levels {np.flatnonzero(g <= 0.0).tolist()} "
+                         "are 0")
     return p, g
 
 

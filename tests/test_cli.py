@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from memtp.cli import _parse_target, main
+from memtp.cli import COMMANDS, _parse_target, main
 from memtp.export import rows_to_csv
 
 
@@ -73,8 +77,10 @@ def test_work_extract_rejects_default_beta0_before_any_cell(monkeypatch):
 
     monkeypatch.setattr("memtp.experiments.run_composed", no_cells)
     monkeypatch.setattr("memtp.experiments.min_epsilon_transform", no_cells)
-    with pytest.raises(ValueError, match="kink"):
-        main(["work-extract", "--w-points", "2", "--memory", "1"])
+    with pytest.raises(SystemExit, match="kink") as exc:
+        main(["work-extract", "--beta", "0", "--w-points", "2",
+              "--memory", "1"])
+    assert exc.value.code.startswith("memtp work-extract: ")
 
 
 def test_cool(tmp_path):
@@ -116,24 +122,26 @@ def test_free_energy(tmp_path):
           "--out", str(out)])
     config, header, rows = read_csv(out)
     assert header == ["step", "D_S", "D_M", "D_SM", "I_SM"]
-    assert config["memory"] == [8]
+    assert config["memory"] == 8
     assert len(rows) == 8 * 8 + 2
     assert config["monotone_joint"] is True
     d_joint = [float(r["D_SM"]) for r in rows]
     assert all(b <= a + 1e-10 for a, b in zip(d_joint, d_joint[1:]))
-    # the default --memory list runs its first entry only, and says so
+    # --memory takes one N, by default 2
     main(["free-energy", "--out", str(out)])
     config, _, rows = read_csv(out)
-    assert config["memory"] == [2]
+    assert config["memory"] == 2
     assert len(rows) == 2 * 2 + 2
-    with pytest.raises(SystemExit):
-        main(["free-energy", "--memory", "", "--out", str(out)])
+    for bad in ("", "4,8"):
+        with pytest.raises(SystemExit) as exc:
+            main(["free-energy", "--memory", bad, "--out", str(out)])
+        assert exc.value.code == 2
     # --levels names exactly one pair of distinct levels
     for bad in ("0", "1,1"):
         with pytest.raises(SystemExit) as exc:
             main(["free-energy", "--levels", bad, "--out", str(out)])
         assert exc.value.code == 2
-    # levels outside the state's 0..d-1 are named before any run
+    # levels outside the state's 0..d-1 are named by the runner
     for bad in ("0,5", "-1,0"):
         with pytest.raises(SystemExit, match=re.escape("0..2")):
             main(["free-energy", f"--levels={bad}", "--out", str(out)])
@@ -167,14 +175,131 @@ def test_csv_floats_carry_17_significant_digits():
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--state", ",".join(["0.125"] * 8 + ["0"])],
-     "--state: dimension 9 exceeds enumeration guard 8"),
-    (["--state", "0.7,0.2,0.1", "--energies", "0,1"],
-     "--energies has 2 levels but --state has 3"),
-    (["--state", "0.7,0.2,0.1", "--beta", "1000"],
-     "levels [1, 2] underflow to 0"),
+    pytest.param(["--state", ",".join(["0.125"] * 8 + ["0"])],
+                 "memtp cone: dimension 9 exceeds enumeration guard 8",
+                 id="nine-levels"),
+    pytest.param(["--state", "0.7,0.2,0.1", "--energies", "0,1"],
+                 "memtp cone: state has 3 levels but gamma has 2",
+                 id="energies-length"),
+    pytest.param(["--state", "0.7,0.2,0.1", "--beta", "1000"],
+                 "memtp cone: gamma must be strictly positive: the Gibbs "
+                 "weights of levels [1, 2] are 0", id="gibbs-underflow"),
 ])
 def test_cone_input_errors_name_the_problem(argv, message, tmp_path):
-    with pytest.raises(SystemExit, match=re.escape(message)) as exc:
+    with pytest.raises(SystemExit) as exc:
         main(["cone", *argv, "--out", str(tmp_path / "cone.csv")])
+    assert exc.value.code == message
+
+
+# the options each subcommand reads, besides --out and --format
+READS = {
+    "converge": {"beta", "state", "energies", "memory", "mode", "target"},
+    "work-extract": {"beta", "memory", "gap", "beta-source", "w-min",
+                     "w-max", "w-points"},
+    "cool": {"beta", "energies"},
+    "inaccessible": {"dims", "energies", "memory", "beta-factor",
+                     "grid-sample", "seed"},
+    "free-energy": {"beta", "state", "energies", "memory", "levels"},
+    "cone": {"beta", "state", "energies"},
+}
+
+# one small run per subcommand, every option it reads set
+SMALL_RUNS = {
+    "converge": ["--beta", "0.2", "--state", "0.6,0.4", "--energies", "0,1",
+                 "--memory", "2", "--mode", "full", "--target", "cycle:2"],
+    "work-extract": ["--beta", "1", "--memory", "1", "--gap", "1",
+                     "--beta-source", "2", "--w-min", "0.2", "--w-max", "0.6",
+                     "--w-points", "2"],
+    "cool": ["--beta", "1", "--energies", "1.0,0.4"],
+    "inaccessible": ["--dims", "3", "--energies", "0,1,2", "--memory", "4",
+                     "--beta-factor", "1.1", "--grid-sample", "0",
+                     "--seed", "0"],
+    "free-energy": ["--beta", "0.5", "--state", "0.7,0.2,0.1",
+                    "--energies", "0,1,2", "--memory", "2", "--levels", "0,2"],
+    "cone": ["--beta", "0.3", "--state", "0.7,0.2,0.1", "--energies", "0,1,2"],
+}
+
+# results the runs add to the header
+RESULT_KEYS = {"work-extract": {"kink", "monotone"},
+               "free-energy": {"monotone_joint"}}
+
+VALUES = {"beta": "1", "dims": "3", "state": "0.5,0.5", "energies": "0,1",
+          "memory": "4", "mode": "full", "seed": "1"}
+
+
+def test_each_subcommand_takes_the_options_it_reads():
+    assert {name: {flag[2:] for flag in flags}
+            for name, (_, flags) in COMMANDS.items()} == READS
+    # 41 settable values with --out and --format; 22 options are usage errors
+    assert sum(len(reads) + 2 for reads in READS.values()) == 41
+    assert sum(option not in READS[command]
+               for command in READS for option in VALUES) == 22
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in READS for option in VALUES
+    if option not in READS[command]])
+def test_options_a_subcommand_does_not_read_are_usage_errors(
+        command, option, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{option}", VALUES[option],
+              "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", READS)
+def test_header_holds_exactly_the_options_read(command, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main([command, *SMALL_RUNS[command], "--out", str(out)]) == 0
+    config, _, rows = read_csv(out)
+    assert rows
+    reads = {option.replace("-", "_") for option in READS[command]}
+    assert set(config) == reads | RESULT_KEYS.get(command, set())
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--state", "0.7,0.2,0.1", "--energies", "0,1",
+     "--memory", "2"],
+    ["free-energy", "--state", "0.7,0.2,0.1", "--energies", "0,1"],
+    ["cone", "--state", "0.5,0.6"],
+    ["cone", "--beta", "-1"],
+    ["converge", "--beta", "-1", "--memory", "2"],
+    ["cool", "--energies", "0.8,0.4"],
+    ["work-extract", "--gap", "-1", "--beta", "1"],
+    ["inaccessible", "--dims", "2", "--memory", "4"],
+], ids=" ".join)
+def test_rejected_inputs_exit_with_one_line(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out.csv")])
     assert isinstance(exc.value.code, str)
+    assert exc.value.code.startswith(f"memtp {argv[0]}: ")
+    assert "\n" not in exc.value.code
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_unwritable_out_exits_with_one_line(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["cone", "--out", str(tmp_path / "missing" / "x.csv")])
+    assert exc.value.code.startswith("memtp cone: [Errno 2] ")
+    assert "\n" not in exc.value.code
+
+
+@pytest.mark.parametrize("bad", ["1", "1,0.4,0.2"])
+def test_cool_energies_take_two_gaps(bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cool", "--energies", bad])
+    assert exc.value.code == 2
+    assert "give two gaps E_S,E_M" in capsys.readouterr().err
+
+
+def test_module_runs_from_a_cold_start():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "memtp.cli", "cone", "--state", "0.7,0.2,0.1"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("# config: ")
+    config = json.loads(proc.stdout.splitlines()[0][len("# config: "):])
+    assert config == {"beta": 0.0, "state": [0.7, 0.2, 0.1]}

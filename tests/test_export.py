@@ -42,3 +42,24 @@ def test_write_rows_rejects_unknown_format(tmp_path):
 def test_write_rows_to_stdout(capsys):
     write_rows(None, [{"a": 1}], None, "csv")
     assert "a\n1" in capsys.readouterr().out
+
+
+def test_numpy_values_in_config_and_rows_encode_exactly():
+    config = {"array": np.array([0.5, 1.0]), "f64": np.float64(1.0 / 3.0),
+              "i64": np.int64(7), "f32": np.float32(0.1), "pair": (1, 2.5),
+              "nested": {"m": np.arange(4).reshape(2, 2)},
+              "nan": float("nan"), "flag": np.bool_(True)}
+    assert rows_to_csv([], config) == (
+        '# config: {"array": [0.5, 1.0], "f32": 0.10000000149011612, '
+        '"f64": 0.3333333333333333, "flag": true, "i64": 7, "nan": NaN, '
+        '"nested": {"m": [[0, 1], [2, 3]]}, "pair": [1, 2.5]}\n')
+    assert rows_to_json([config], {"flag": np.bool_(False)}) == (
+        '{\n  "config": {\n    "flag": false\n  },\n  "rows": [\n    {\n'
+        '      "array": [\n        0.5,\n        1.0\n      ],\n'
+        '      "f64": 0.3333333333333333,\n      "i64": 7,\n'
+        '      "f32": 0.10000000149011612,\n      "pair": [\n        1,\n'
+        '        2.5\n      ],\n      "nested": {\n        "m": [\n'
+        '          [\n            0,\n            1\n          ],\n'
+        '          [\n            2,\n            3\n          ]\n'
+        '        ]\n      },\n      "nan": NaN,\n      "flag": true\n'
+        '    }\n  ]\n}\n')

@@ -39,6 +39,32 @@ def test_correction_operator_combines_chain_errors():
     assert np.allclose(delta, expected)
 
 
+def _correction_operator_sum(d, chain):
+    """sum_l (P_m ... P_{l+1}) (1 - P_l) (P_{l-1} ... P_1), term by term."""
+    mats = [transposition_matrix(d, i, j) for (i, j) in chain]
+    prefix = [np.eye(d)]
+    for mat in mats:
+        prefix.append(mat @ prefix[-1])
+    suffix = [np.eye(d)]
+    for mat in reversed(mats):
+        suffix.append(suffix[-1] @ mat)
+    suffix.reverse()  # suffix[l] = P_m ... P_{l+1} with 1-based l
+    total = np.zeros((d, d))
+    for l, mat in enumerate(mats):
+        total += suffix[l + 1] @ (np.eye(d) - mat) @ prefix[l]
+    return total
+
+
+def test_correction_operator_equals_prefix_suffix_sum():
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        d = int(rng.integers(2, 8))
+        chain = [tuple(int(k) for k in rng.choice(d, size=2, replace=False))
+                 for _ in range(int(rng.integers(0, 22)))]
+        assert np.array_equal(correction_operator(d, chain),
+                              _correction_operator_sum(d, chain))
+
+
 def test_swap_exponential_value():
     pair = PairGibbsFactors(2 / 3)
     N = 64
