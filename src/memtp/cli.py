@@ -118,12 +118,12 @@ def _parse_target(text: str, d: int):
         parts = text.split(":")
         direction = parts[2] if len(parts) > 2 else "forward"
         if parts[1] != str(d):
-            raise SystemExit("only full cycles are supported via cycle:<d>")
+            raise ValueError("only full cycles are supported via cycle:<d>")
         if direction == "forward":
             return (d - 1,) + tuple(range(d - 1))
         if direction == "backward":
             return tuple(range(1, d)) + (0,)
-        raise SystemExit(f"target {text!r}: the cycle direction must be "
+        raise ValueError(f"target {text!r}: the cycle direction must be "
                          "forward|backward")
     if text.startswith("order:"):
         try:
@@ -131,10 +131,10 @@ def _parse_target(text: str, d: int):
         except ValueError:
             order = ()
         if sorted(order) != list(range(d)):
-            raise SystemExit(f"target {text!r} is not an order of the "
+            raise ValueError(f"target {text!r} is not an order of the "
                              f"levels 0..{d - 1}")
         return order
-    raise SystemExit(f"cannot parse target {text!r}")
+    raise ValueError(f"cannot parse target {text!r}")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -182,6 +182,14 @@ def _run(args, cfg: dict) -> list[dict]:
         }]
 
     if args.command == "inaccessible":
+        if args.grid_sample and (args.dims or args.energies):
+            raise ValueError("--grid-sample draws its own 4-level spectra "
+                             "and takes neither --dims nor --energies")
+        dims = args.dims or ([len(args.energies)] if args.energies
+                             else [3, 4, 5, 6])
+        if args.energies and set(dims) != {len(args.energies)}:
+            raise ValueError(f"--energies gives {len(args.energies)} levels "
+                             f"but --dims asks for {dims}")
         rows = []
         if args.grid_sample:
             rng = np.random.default_rng(args.seed)
@@ -194,7 +202,7 @@ def _run(args, cfg: dict) -> list[dict]:
                 rows += [dict(r, sample=sample, e1=e1, e2=e2)
                          for r in res.rows]
         else:
-            for d in args.dims or [3, 4, 5, 6]:
+            for d in dims:
                 energies = args.energies or list(range(d))
                 res = xp.inaccessible_convergence(energies, args.beta_factor,
                                                   args.memory)

@@ -9,11 +9,15 @@ step by step and, with ``thermalize_memory``, is the reference the runners
 are tested against. The runners validate their inputs once and work in
 place on one (d, N) joint grid. Recorded swaps run the default schedule
 step by step; unrecorded ones use a wavefront kernel that updates one
-anti-diagonal of the default schedule's grid per numpy slice operation,
-writing through two buffers made once per swap. With a flat memory
-spectrum (every row of the Gibbs grid constant) the cell factor
-g_a / (g_a + g_b) is one scalar per swap; graded memory computes it per
-cell. Either way the kernel is bitwise equal to the default schedule.
+anti-diagonal of the default schedule's grid per numpy slice operation.
+An unrecorded truncated run first groups consecutive swaps that share one
+level in the same role, (i, j1), (i, j2), ... or (i1, j), (i2, j), ...,
+and runs each group as one rectangular grid: its (|I| + |J|) N - 1
+anti-diagonals replace the 2N - 1 of each swap on its own. With a flat
+memory spectrum (every row of the Gibbs grid constant) the cell factor
+g_a / (g_a + g_b) depends only on the two levels; graded memory computes
+it per cell. Either way the kernel is bitwise equal to the default
+schedule of each swap in turn.
 """
 
 from __future__ import annotations
@@ -248,39 +252,82 @@ def _execute(probs: np.ndarray, g: np.ndarray, runs, recorder=None) -> None:
             recorder.record(stack)
 
 
-def _swap(probs: np.ndarray, g: np.ndarray, i: int, j: int, N: int,
+def _swap(grid: np.ndarray, gibbs: np.ndarray, rows, cols,
           flat: bool) -> None:
-    """Default-schedule swap of system levels i and j, in place.
+    """Default-schedule swaps (i, j), i in ``rows``, j in ``cols``, in place.
 
+    One of ``rows`` and ``cols`` holds one level and no level appears
+    twice (a ``_stars`` group); the swaps run in list order. Their default
+    schedules together are the default schedule of one
+    (|rows| N) x (|cols| N) grid whose rows are the rows' memory slots end
+    to end (``a``) and whose columns are the cols' slots end to end
+    (``b``): every joint entry meets the same partners in the same order.
     Cell (k, l) depends only on cells (k, l - 1) and (k - 1, l), so each
-    anti-diagonal k + l = const is one slice update; the level-j row is held
-    reversed to keep both slices contiguous. Pair sums and cell factors go
-    through two length-N buffers made once per swap, so a diagonal costs
-    three ufunc calls and allocates no array. ``flat`` says that every row
-    of the (d, N) Gibbs grid ``g`` is constant (a flat memory spectrum):
-    then every cell factor g_a / (g_a + g_b) is the same float and is
-    computed once per swap; otherwise it is computed per cell, with two
-    more ufunc calls per diagonal. Every cell does the arithmetic of
-    ``_execute``, so the result is bitwise equal to the default schedule.
+    anti-diagonal k + l = const is one slice update. ``b`` is held
+    reversed to keep both slices contiguous and takes the pair sum before
+    the split, so a diagonal costs three ufunc calls and allocates no
+    array. ``flat`` says that every row of the (d, N) Gibbs grid is
+    constant (a flat memory spectrum): then the cell factor
+    g_a / (g_a + g_b) depends only on the two levels, and is one array
+    laid along the group's multi-level side; otherwise it is computed per
+    cell, with two more ufunc calls per diagonal. Every cell does the
+    arithmetic of ``_execute``, so the grid ends bitwise equal to running
+    each swap's default schedule in turn.
     """
-    a = probs[i * N:(i + 1) * N]                 # a view: writes land in probs
-    b = probs[j * N:(j + 1) * N][::-1].copy()
-    ga = g[i * N:(i + 1) * N]
-    gb = g[j * N:(j + 1) * N][::-1].copy()
-    s, f = np.empty(N), np.empty(N)
-    r = ga[0] / (ga[0] + gb[0])             # every cell's factor when flat
-    for t in range(1 - N, N):
+    N = grid.shape[1]
+    a = grid[rows].reshape(-1)
+    b = grid[cols].reshape(-1)[::-1].copy()
+    M, P = a.size, b.size
+    fa = fb = None
+    if flat:
+        c = gibbs[:, 0]
+        if len(cols) == 1:
+            fa = np.repeat(c[rows] / (c[rows] + c[cols[0]]), N)
+        else:
+            fb = np.repeat(c[rows[0]] / (c[rows[0]] + c[cols[::-1]]), N)
+    else:
+        ga = gibbs[rows].reshape(-1)
+        gb = gibbs[cols].reshape(-1)[::-1].copy()
+        f = np.empty(min(M, P))
+    for t in range(1 - P, M):
         # diagonal t has n cells and pairs a[ka:ka + n] with b[kb:kb + n]
-        ka, kb, n = (t, 0, N - t) if t > 0 else (0, -t, N + t)
-        av, bv, sv = a[ka:ka + n], b[kb:kb + n], s[:n]
-        np.add(av, bv, out=sv)
-        if not flat:
+        ka, kb = (t, 0) if t > 0 else (0, -t)
+        n = min(M - ka, P - kb)
+        av, bv = a[ka:ka + n], b[kb:kb + n]
+        if fa is not None:
+            r = fa[ka:ka + n]
+        elif fb is not None:
+            r = fb[kb:kb + n]
+        else:
             r = f[:n]
-            np.add(ga[ka:ka + n], gb[kb:kb + n], out=r)
-            np.divide(ga[ka:ka + n], r, out=r)
-        np.multiply(sv, r, out=av)
-        np.subtract(sv, av, out=bv)
-    probs[j * N:(j + 1) * N] = b[::-1]
+            np.add(ga[ka:ka + n], gb[kb:kb + n], r)
+            np.divide(ga[ka:ka + n], r, r)
+        np.add(av, bv, bv)
+        np.multiply(bv, r, av)
+        np.subtract(bv, av, bv)
+    grid[rows] = a.reshape(-1, N)
+    grid[cols] = b[::-1].reshape(-1, N)
+
+
+def _stars(pairs) -> list[tuple[list[int], list[int]]]:
+    """Group consecutive swaps that share a level in the same role.
+
+    A group (rows, cols) is (i, j1), (i, j2), ... with one i, or
+    (i1, j), (i2, j), ... with one j, and no level in it twice; ``_swap``
+    runs each group as one grid.
+    """
+    groups = []
+    for i, j in pairs:
+        if groups:
+            rows, cols = groups[-1]
+            if rows == [i] and j not in cols:
+                cols.append(j)
+                continue
+            if cols == [j] and i not in rows:
+                rows.append(i)
+                continue
+        groups.append(([i], [j]))
+    return groups
 
 
 def run_truncated(joint: JointState, beta: float, schedule: ProtocolSchedule,
@@ -339,17 +386,23 @@ def _run_swaps(state, system_spectrum, beta: float, pairs, N: int,
                recorder: TrajectoryRecorder | None) -> np.ndarray:
     """Swap along ``pairs`` in place on one joint grid and return it.
 
-    The memory is discarded after every swap when ``full``, else once.
+    The memory is discarded after every swap when ``full``, else once;
+    an unrecorded truncated run hands ``_swap`` one ``_stars`` group at a
+    time.
     """
     grid, gibbs, gm, flat = _thermal_joint(state, system_spectrum, beta,
                                            pairs, N, memory_spectrum)
     probs, g = grid.reshape(-1), gibbs.reshape(-1)    # views of the grids
-    for i, j in pairs:
+    # recorded swaps go step by step, and full mode discards the memory
+    # between swaps: there each swap is a group of its own
+    groups = (_stars(pairs) if recorder is None and not full
+              else [([i], [j]) for i, j in pairs])
+    for rows, cols in groups:
         if recorder is None:
-            _swap(probs, g, i, j, N, flat)
+            _swap(grid, gibbs, rows, cols, flat)
         else:
-            _execute(probs, g, build_schedule("default", (i, j), N).runs,
-                     recorder)
+            _execute(probs, g, build_schedule("default", (rows[0], cols[0]),
+                                              N).runs, recorder)
         if full:
             grid[:] = np.outer(grid.sum(axis=1), gm)
     if not full:

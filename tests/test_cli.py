@@ -48,14 +48,27 @@ def test_converge_targets():
     assert _parse_target("cycle:4:forward", 4) == (3, 0, 1, 2)
     assert _parse_target("cycle:4:backward", 4) == (1, 2, 3, 0)
     assert _parse_target("order:2,0,1", 3) == (2, 0, 1)
-    with pytest.raises(SystemExit, match=re.escape("forward|backward")):
+    with pytest.raises(ValueError, match=re.escape("forward|backward")):
         _parse_target("cycle:4:sideways", 4)
     for bad in ("cycle:3", "cycle:x"):
-        with pytest.raises(SystemExit, match="full cycles"):
+        with pytest.raises(ValueError, match="full cycles"):
             _parse_target(bad, 4)
+    with pytest.raises(ValueError, match="cannot parse"):
+        _parse_target("sideways", 4)
     for bad in ("order:0,0,1", "order:0,1", "order:0,x,2"):
-        with pytest.raises(SystemExit, match=re.escape(repr(bad))):
+        with pytest.raises(SystemExit, match=re.escape(repr(bad))) as exc:
             main(["converge", "--state", "0.5,0.3,0.2", "--target", bad])
+        assert exc.value.code.startswith("memtp converge: ")
+
+
+def test_bad_target_exits_with_the_command_prefix(tmp_path):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--state", "0.5,0.5", "--target", "order:0,0",
+              "--memory", "2", "--out", str(out)])
+    assert exc.value.code == ("memtp converge: target 'order:0,0' is not an "
+                              "order of the levels 0..1")
+    assert not out.exists()
 
 
 def test_work_extract(tmp_path):
@@ -113,6 +126,36 @@ def test_inaccessible_grid_sample_records_seed(tmp_path):
     config, header, rows = read_csv(out)
     assert config["seed"] == 99
     assert len(rows) == 4
+
+
+@pytest.mark.parametrize("option, value", [("--dims", "5"),
+                                           ("--energies", "0,1,2,3")])
+def test_inaccessible_grid_sample_takes_no_dims_or_energies(option, value,
+                                                            tmp_path):
+    # grid-sample mode draws its own 4-level spectra, so neither option
+    # would describe the rows it writes
+    out = tmp_path / "grid.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["inaccessible", "--grid-sample", "1", option, value,
+              "--memory", "8", "--out", str(out)])
+    assert exc.value.code.startswith("memtp inaccessible: --grid-sample ")
+    assert "\n" not in exc.value.code
+    assert not out.exists()
+
+
+def test_inaccessible_energies_must_have_each_dims_length(tmp_path):
+    out = tmp_path / "inacc.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["inaccessible", "--dims", "3,4", "--energies", "0,1,2",
+              "--memory", "8", "--out", str(out)])
+    assert exc.value.code == ("memtp inaccessible: --energies gives 3 levels "
+                              "but --dims asks for [3, 4]")
+    assert not out.exists()
+    # without --dims, the energies name the one dimension that runs
+    main(["inaccessible", "--energies", "0,1,2", "--memory", "8",
+          "--out", str(out)])
+    _, _, rows = read_csv(out)
+    assert [r["d"] for r in rows] == ["3"]
 
 
 def test_free_energy(tmp_path):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import betainc
 
-from memtp import (build_schedule, gibbs_state, run_full_swap, run_truncated,
-                   tensor, total_variation)
+from memtp import (build_schedule, gibbs_state, run_composed, run_full_swap,
+                   run_truncated, tensor, total_variation)
 from memtp.closed_forms import (PairGibbsFactors, closed_form_entry_b,
                                 closed_form_entry_c, target_residual, start_residual,
                                 final_state)
@@ -216,3 +216,24 @@ def test_final_state_reconstructs_protocol_output():
         pair = PairGibbsFactors.from_gibbs(gibbs_state([0, gap], beta), 0, 1)
         q_cf = final_state(N, pair, b, 1 - b)
         assert total_variation(q_engine, q_cf) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_full_mode_chain_is_the_product_of_two_level_maps(d, beta):
+    # full mode rethermalises the memory after every swap, so each swap
+    # (i, j) maps (q_i, q_j) through final_state of its pair; the oracle
+    # makes no engine call
+    rng = np.random.default_rng(10 * d + int(10 * beta))
+    E = np.sort(rng.uniform(0.0, 2.0, d))
+    g = gibbs_state(E, beta)
+    p = rng.dirichlet(np.ones(d))
+    chain = [tuple(int(x) for x in rng.choice(d, 2, replace=False))
+             for _ in range(d + 1)]
+    for N in (64, 256, 1024, 2048):
+        q = p.copy()
+        for i, j in chain:
+            q[[i, j]] = final_state(N, PairGibbsFactors.from_gibbs(g, i, j),
+                                    q[i], q[j])
+        out = run_composed(p, E, beta, chain, N, mode="full")
+        assert np.abs(out - q).max() < 1e-12, N

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memtp import (TrajectoryRecorder, build_schedule, gibbs_state,
                    joint_gibbs, marginalize, mutual_information,
                    relative_entropy, run_composed, run_full_swap,
                    run_truncated, tensor, thermalize_memory, thermomajorizes,
                    total_variation, two_level_thermalize)
-from memtp.engine import FAMILIES, ProtocolSchedule, _swap, _thermal_joint
+from memtp.engine import (FAMILIES, ProtocolSchedule, _execute, _stars, _swap,
+                          _thermal_joint)
 
 
 def rand_state(rng, d):
@@ -262,10 +265,10 @@ def test_swap_kernel_equals_default_schedule_on_the_whole_joint(N, beta,
         assert flat == (name in ("zeros", "constant") or N == 1
                         or beta == 0.0)
         joint = tensor(p, gm, E, em)
-        probs, g = grid.ravel(), g.ravel()
-        _swap(probs, g, *levels, N, flat)
+        i, j = levels
+        _swap(grid, g, [i], [j], flat)
         ref = run_truncated(joint, beta, build_schedule("default", levels, N))
-        assert np.array_equal(probs, ref.probs), name
+        assert np.array_equal(grid.ravel(), ref.probs), name
 
 
 @pytest.mark.parametrize("levels", [(0, 1), (1, 0)])
@@ -282,13 +285,119 @@ def test_swap_kernel_is_exact_with_one_underflowing_weight_per_cell(N,
         grid, g, gm, flat = _thermal_joint([0.5, 0.5], [0.0, 1.0], 1000.0,
                                            [levels], N, em)
         joint = tensor([0.5, 0.5], gm, [0.0, 1.0], em)
-        probs, g = grid.ravel(), g.ravel()
+        i, j = levels
         with np.errstate(invalid="raise", divide="raise"):
-            _swap(probs, g, *levels, N, flat)
+            _swap(grid, g, [i], [j], flat)
             ref = run_truncated(joint, 1000.0,
                                 build_schedule("default", levels, N))
-        assert np.array_equal(probs, ref.probs), name
-        assert probs[N:].sum() == 0.0
+        assert np.array_equal(grid.ravel(), ref.probs), name
+        assert grid[1].sum() == 0.0
+
+
+# a star of swaps in each role, each broken by a level it already holds
+STAR_CHAIN = [(1, 0), (2, 0), (1, 0), (0, 1), (0, 2), (0, 1)]
+
+
+def test_stars_group_consecutive_swaps_that_share_a_level():
+    assert _stars([(4, 5), (3, 5), (2, 5)]) == [([4, 3, 2], [5])]
+    assert _stars([(0, 1), (0, 2), (0, 1)]) == [([0], [1, 2]), ([0], [1])]
+    assert _stars(STAR_CHAIN) == [([1, 2], [0]), ([1], [0]), ([0], [1, 2]),
+                                  ([0], [1])]
+    # a shared level in the other role does not group
+    assert _stars([(0, 1), (1, 2), (2, 0)]) == [([0], [1]), ([1], [2]),
+                                                ([2], [0])]
+    assert _stars([]) == []
+
+
+def test_only_unrecorded_truncated_runs_group(monkeypatch):
+    calls = []
+
+    def spy(grid, gibbs, rows, cols, flat):
+        calls.append((list(rows), list(cols)))
+        _swap(grid, gibbs, rows, cols, flat)
+
+    monkeypatch.setattr("memtp.engine._swap", spy)
+    p, E, N = np.full(6, 1 / 6), np.arange(6.0), 3
+    chain = [(4, 5), (3, 5), (2, 5)]
+    run_composed(p, E, 0.5, chain, N)
+    assert calls == [([4, 3, 2], [5])]
+    calls.clear()
+    run_composed(p, E, 0.5, chain, N, mode="full")
+    assert calls == [([4], [5]), ([3], [5]), ([2], [5])]
+    calls.clear()
+    for mode in ("full", "truncated"):
+        rec = TrajectoryRecorder(tensor(p, np.ones(N) / N, E, np.zeros(N)),
+                                 0.5)
+        run_composed(p, E, 0.5, chain, N, mode=mode, recorder=rec)
+        assert len(rec.points) == 1 + len(chain) * N * N
+    assert calls == []
+
+
+def stepwise_and_grouped(state, E, beta, N, em):
+    """Whole joint grids after STAR_CHAIN: per-step ``_execute``, and one
+    ``_swap`` per ``_stars`` group."""
+    grid, g, gm, flat = _thermal_joint(state, E, beta, STAR_CHAIN, N, em)
+    ref = grid.ravel().copy()
+    for i, j in STAR_CHAIN:
+        _execute(ref, g.ravel(), build_schedule("default", (i, j), N).runs)
+    for rows, cols in _stars(STAR_CHAIN):
+        _swap(grid, g, rows, cols, flat)
+    return grid, ref.reshape(grid.shape)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 257])
+def test_star_groups_equal_stepwise_swaps_on_the_whole_joint(N, beta):
+    rng = np.random.default_rng(N)
+    p = rand_state(rng, 3)
+    for name, em in memory_spectra(N, rng).items():
+        grid, ref = stepwise_and_grouped(p, [0.0, 0.6, 1.5], beta, N, em)
+        assert np.array_equal(grid, ref), name
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 17, 64, 257])
+def test_star_groups_are_exact_with_one_underflowing_weight_per_cell(N):
+    # beta = 1000 on [0, 1, 2]: rows 1 and 2 of the Gibbs grid are all 0,
+    # and every swap of the chain pairs one of them with the ground level
+    rng = np.random.default_rng(N)
+    spectra = memory_spectra(N, rng)
+    spectra["random"] *= 0.4
+    spectra["ties"] *= 0.4
+    for name, em in spectra.items():
+        with np.errstate(invalid="raise", divide="raise"):
+            grid, ref = stepwise_and_grouped([0.5, 0.3, 0.2], [0.0, 1.0, 2.0],
+                                             1000.0, N, em)
+        assert np.array_equal(grid, ref), name
+        assert grid[1:].sum() == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(2, 5), N=st.integers(1, 6),
+       beta=st.sampled_from([0.0, 0.4, 1.5]),
+       equal_energies=st.booleans(),
+       memory=st.sampled_from(["zeros", "constant", "graded"]),
+       picks=st.lists(st.integers(0, 19), max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(d=3, N=1, beta=0.0, equal_energies=True, memory="constant",
+         picks=[0, 0, 2, 3, 2, 1], seed=0)
+def test_truncated_runs_equal_stepwise_reference_at_the_edges(
+        d, N, beta, equal_energies, memory, picks, seed):
+    # N = 1, beta = 0, equal energies, a constant memory spectrum and chains
+    # that repeat pairs: the unrecorded run is the per-step run, bit for bit
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    chain = [pairs[k % len(pairs)] for k in picks]
+    p = rand_state(rng, d)
+    E = np.zeros(d) if equal_energies else np.sort(rng.uniform(0, 2, d))
+    em = {"zeros": np.zeros(N), "constant": np.full(N, 0.3),
+          "graded": np.sort(rng.uniform(0.0, 1.2, N))}[memory]
+    joint = tensor(p, gibbs_state(em, beta), E, em)
+    for i, j in chain:
+        joint = run_truncated(joint, beta,
+                              build_schedule("default", (i, j), N))
+    ref = marginalize(thermalize_memory(joint, beta), "system")
+    out = run_composed(p, E, beta, chain, N, memory_spectrum=em)
+    assert np.array_equal(out, ref)
 
 
 @pytest.mark.parametrize("runner", ["full_swap", "composed"])
