@@ -17,8 +17,10 @@ energies = list(range(6))
 sizes = [2 ** k for k in range(4, 10)]
 target = nested_cycle_order(6, 1)  # full cycle of the order
 
-print("infinite temperature, full-cycle target")
-rows = converge_sweep(p, energies, 0.0, target, sizes)
+# the beta = 0 chain law is the full-mode law; a truncated chain of more
+# than one swap has no prediction (NaN)
+print("infinite temperature, full-cycle target, full mode")
+rows = converge_sweep(p, energies, 0.0, target, sizes, mode="full")
 print(f"{'N':>5} {'delta':>12} {'predicted':>12}")
 for r in rows:
     print(f"{r['N']:>5} {r['delta']:>12.3e} {r['delta_predicted']:>12.3e}")

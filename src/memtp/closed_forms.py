@@ -22,6 +22,13 @@ Mass that enters on the other channel takes one step fewer of one kind and
 one more of the other, which the ratio rho / sigma (or its inverse)
 accounts for. ``scipy.special`` is imported inside the functions that call
 ``betainc``, so importing the package does not load scipy.
+
+The same walk gives one truncated swap exactly from any input rows, not
+just a thermal memory (``truncated_swap``): mass that enters the grid at
+row k' (or column l') leaves it at row k (or column l) with the
+negative-binomial probability of the steps in between. Those weights are
+an engine-free oracle for the wavefront kernel in truncated mode, where
+the memory is not rethermalised between swaps.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 
 __all__ = [
     "PairGibbsFactors", "closed_form_entry_b", "closed_form_entry_c",
-    "target_residual", "start_residual", "final_state",
+    "target_residual", "start_residual", "final_state", "truncated_swap",
 ]
 
 
@@ -140,3 +147,38 @@ def final_state(N: int, pair: PairGibbsFactors, b: float, c: float) -> np.ndarra
     e = target_residual(N, pair)
     f = start_residual(N, pair)
     return np.array([b * f + c * (1.0 - e), b * (1.0 - f) + c * e])
+
+
+def truncated_swap(a, b, pair: PairGibbsFactors) -> tuple[np.ndarray, np.ndarray]:
+    """One default-schedule swap of levels i and j with a flat memory.
+
+    ``a`` and ``b`` are the N memory slots of levels i and j in the joint
+    state (any non-negative rows, not only thermal ones), and ``pair``
+    holds rho = gamma_i / (gamma_i + gamma_j). Returns the two rows after
+    the swap, from the path weights of the walk in the module docstring:
+
+        out_a[k] = sum_{k' <= k} C(N-1+n, n) rho^N sigma^n a[k']      (n = k - k')
+                   + sum_l C(N-1-l+k, k) rho^(N-l) sigma^k b[l]
+        out_b[l] = sum_{k'} C(N-1-k'+l, l) rho^l sigma^(N-k') a[k']
+                   + sum_{l' <= l} C(N-1+m, m) sigma^N rho^m b[l']    (m = l - l')
+
+    Each weight is a negative-binomial probability, C(r-1+k, k) x^r
+    (1-x)^k, taken from ``scipy.stats.nbinom.pmf`` so that it neither
+    overflows nor loses digits at large N. Column 0 of each cross block
+    holds the Toeplitz weights of its row's own block, which is one
+    ``np.convolve``. The cross blocks are dense N x N arrays: this is a
+    test oracle, O(N^2) in time and memory, and no runner calls it.
+    """
+    from scipy.stats import nbinom
+
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    N = a.size
+    if a.shape != (N,) or b.shape != (N,) or N < 1:
+        raise ValueError("a and b must be two rows of the same length N >= 1")
+    k = np.arange(N)[:, None]
+    r = N - np.arange(N)
+    to_a = nbinom.pmf(k, r, pair.gamma_i)    # [k, l]: b[l] -> out_a[k]
+    to_b = nbinom.pmf(k, r, pair.gamma_j)    # [l, k']: a[k'] -> out_b[l]
+    return (np.convolve(a, to_a[:, 0])[:N] + to_a @ b,
+            np.convolve(b, to_b[:, 0])[:N] + to_b @ a)

@@ -258,53 +258,96 @@ def _swap(grid: np.ndarray, gibbs: np.ndarray, rows, cols,
 
     One of ``rows`` and ``cols`` holds one level and no level appears
     twice (a ``_stars`` group); the swaps run in list order. Their default
-    schedules together are the default schedule of one
-    (|rows| N) x (|cols| N) grid whose rows are the rows' memory slots end
-    to end (``a``) and whose columns are the cols' slots end to end
+    schedules together are the default schedule of one M x P grid,
+    M = |rows| N and P = |cols| N, whose rows are the rows' memory slots
+    end to end (``a``) and whose columns are the cols' slots end to end
     (``b``): every joint entry meets the same partners in the same order.
     Cell (k, l) depends only on cells (k, l - 1) and (k - 1, l), so each
     anti-diagonal k + l = const is one slice update. ``b`` is held
     reversed to keep both slices contiguous and takes the pair sum before
     the split, so a diagonal costs three ufunc calls and allocates no
-    array. ``flat`` says that every row of the (d, N) Gibbs grid is
-    constant (a flat memory spectrum): then the cell factor
-    g_a / (g_a + g_b) depends only on the two levels, and is one array
-    laid along the group's multi-level side; otherwise it is computed per
+    array.
+
+    ``flat`` says that every row of the (d, N) Gibbs grid is constant (a
+    flat memory spectrum): then the cell factor g_a / (g_a + g_b) depends
+    only on the two levels. The diagonals then run in two phases, those
+    that start at a[0] and those that start at b[0], and numpy's clipping
+    of a slice at the end of its array gives each diagonal its length, so
+    a diagonal computes one or two slice bounds and no min() or tuple. A
+    single swap passes its one factor as a 0-d array; a star lays the
+    factor along its multi-level side and slices it as that side. Graded
+    memory keeps one loop over all diagonals and computes the factor per
     cell, with two more ufunc calls per diagonal. Every cell does the
-    arithmetic of ``_execute``, so the grid ends bitwise equal to running
-    each swap's default schedule in turn.
+    arithmetic of ``_execute`` on the same operands in the same order, so
+    the grid ends bitwise equal to running each swap's default schedule in
+    turn.
     """
     N = grid.shape[1]
     a = grid[rows].reshape(-1)
     b = grid[cols].reshape(-1)[::-1].copy()
     M, P = a.size, b.size
-    fa = fb = None
-    if flat:
-        c = gibbs[:, 0]
-        if len(cols) == 1:
-            fa = np.repeat(c[rows] / (c[rows] + c[cols[0]]), N)
-        else:
-            fb = np.repeat(c[rows[0]] / (c[rows[0]] + c[cols[::-1]]), N)
-    else:
+    # local names spare the flat loops a global and an attribute lookup per
+    # call, about 5% of a short diagonal
+    add, mul, sub = np.add, np.multiply, np.subtract
+    if not flat:
         ga = gibbs[rows].reshape(-1)
         gb = gibbs[cols].reshape(-1)[::-1].copy()
         f = np.empty(min(M, P))
-    for t in range(1 - P, M):
-        # diagonal t has n cells and pairs a[ka:ka + n] with b[kb:kb + n]
-        ka, kb = (t, 0) if t > 0 else (0, -t)
-        n = min(M - ka, P - kb)
-        av, bv = a[ka:ka + n], b[kb:kb + n]
-        if fa is not None:
-            r = fa[ka:ka + n]
-        elif fb is not None:
-            r = fb[kb:kb + n]
-        else:
+        for t in range(1 - P, M):
+            # diagonal t has n cells and pairs a[ka:ka + n] with b[kb:kb + n]
+            ka, kb = (t, 0) if t > 0 else (0, -t)
+            n = min(M - ka, P - kb)
+            av, bv = a[ka:ka + n], b[kb:kb + n]
             r = f[:n]
             np.add(ga[ka:ka + n], gb[kb:kb + n], r)
             np.divide(ga[ka:ka + n], r, r)
-        np.add(av, bv, bv)
-        np.multiply(bv, r, av)
-        np.subtract(bv, av, bv)
+            np.add(av, bv, bv)
+            np.multiply(bv, r, av)
+            np.subtract(bv, av, bv)
+    elif M == P:
+        # one swap: phase A pairs a[:P - kb] with b[kb:], kb = P - 1 ... 0,
+        # phase B a[ka:] with b[:M - ka], ka = 1 ... M - 1
+        c = gibbs[:, 0]
+        r = (c[rows] / (c[rows] + c[cols])).reshape(())
+        for kb in range(P - 1, -1, -1):
+            av, bv = a[:P - kb], b[kb:]
+            add(av, bv, bv)
+            mul(bv, r, av)
+            sub(bv, av, bv)
+        for ka in range(1, M):
+            av, bv = a[ka:], b[:M - ka]
+            add(av, bv, bv)
+            mul(bv, r, av)
+            sub(bv, av, bv)
+    elif len(cols) == 1:
+        # M > P: the factor lies along a; a[:P - kb] and b[:M - ka] are
+        # whole diagonals, and b[kb:], a[ka:ka + P] end where they do
+        c = gibbs[:, 0]
+        fa = np.repeat(c[rows] / (c[rows] + c[cols[0]]), N)
+        for kb in range(P - 1, -1, -1):
+            av, bv = a[:P - kb], b[kb:]
+            add(av, bv, bv)
+            mul(bv, fa[:P - kb], av)
+            sub(bv, av, bv)
+        for ka in range(1, M):
+            av, bv = a[ka:ka + P], b[:M - ka]
+            add(av, bv, bv)
+            mul(bv, fa[ka:ka + P], av)
+            sub(bv, av, bv)
+    else:
+        # M < P: the factor lies along b; a[:P - kb] stops at a's end
+        c = gibbs[:, 0]
+        fb = np.repeat(c[rows[0]] / (c[rows[0]] + c[cols[::-1]]), N)
+        for kb in range(P - 1, -1, -1):
+            av, bv = a[:P - kb], b[kb:kb + M]
+            add(av, bv, bv)
+            mul(bv, fb[kb:kb + M], av)
+            sub(bv, av, bv)
+        for ka in range(1, M):
+            av, bv = a[ka:], b[:M - ka]
+            add(av, bv, bv)
+            mul(bv, fb[:M - ka], av)
+            sub(bv, av, bv)
     grid[rows] = a.reshape(-1, N)
     grid[cols] = b[::-1].reshape(-1, N)
 

@@ -76,8 +76,15 @@ def cycle_family_orders(d: int) -> list[tuple[int, int, BetaOrder]]:
     return out
 
 
-def _attach_prediction(p, gamma, beta, chain, N):
-    """Model prediction for a composed run, NaN where no closed model exists."""
+def _attach_prediction(p, gamma, beta, chain, N, mode):
+    """Model prediction for a composed run, NaN where no closed model exists.
+
+    The beta = 0 chain law is the full-mode law. Truncated mode keeps the
+    memory from swap to swap and has no law yet for a chain of two or more
+    swaps; one swap is the same run in both modes.
+    """
+    if mode == "truncated" and len(chain) > 1:
+        return float("nan")
     if beta == 0.0:
         return predict_delta("chain_beta0", N, p=p, chain=chain)
     if len(chain) == 1:
@@ -98,7 +105,8 @@ def converge_sweep(state, energies, beta, target_order, memory_sizes, *,
     ``ValueError``), runs the composed protocol along the neighbour chain
     towards the vertex labelled by ``target_order`` and measures the total
     variation distance to it; a rate-model prediction is attached where
-    one exists. ``gibbs_state`` rejects a negative ``beta``.
+    one exists (NaN otherwise, and for every truncated chain of two or
+    more swaps). ``gibbs_state`` rejects a negative ``beta``.
     """
     if any(b <= a for a, b in zip(memory_sizes, memory_sizes[1:])):
         raise ValueError("memory sizes must be strictly increasing")
@@ -114,7 +122,8 @@ def converge_sweep(state, energies, beta, target_order, memory_sizes, *,
         rows.append({
             "N": int(N),
             "delta": total_variation(q, target.state),
-            "delta_predicted": _attach_prediction(p, g, beta, chain, N),
+            "delta_predicted": _attach_prediction(p, g, beta, chain, N,
+                                                  mode),
         })
     return rows
 

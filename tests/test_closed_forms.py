@@ -9,8 +9,8 @@ from memtp import (build_schedule, gibbs_state, run_composed, run_full_swap,
                    run_truncated, tensor, total_variation)
 from memtp.closed_forms import (PairGibbsFactors, closed_form_entry_b,
                                 closed_form_entry_c, target_residual, start_residual,
-                                final_state)
-from memtp.engine import ProtocolSchedule, Run
+                                final_state, truncated_swap)
+from memtp.engine import ProtocolSchedule, Run, _swap, _thermal_joint
 
 
 def run_default_engine(b, c, gap, beta, N):
@@ -237,3 +237,52 @@ def test_full_mode_chain_is_the_product_of_two_level_maps(d, beta):
                                     q[i], q[j])
         out = run_composed(p, E, beta, chain, N, mode="full")
         assert np.abs(out - q).max() < 1e-12, N
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 64, 256, 1024])
+def test_truncated_swap_matches_the_kernel_on_any_rows(N):
+    # the rows are moved off the thermal product state, as they are after
+    # earlier swaps of a truncated run
+    rng = np.random.default_rng(N)
+    for levels, beta in [((0, 1), 0.0), ((0, 1), 0.7), ((1, 0), 2.0)]:
+        E = [0.0, rng.uniform(0.2, 1.5)]
+        grid, g, _, flat = _thermal_joint(rng.dirichlet([1, 1]), E, beta,
+                                          [levels], N, None)
+        grid *= rng.uniform(0.5, 1.5, grid.shape)
+        i, j = levels
+        out_a, out_b = truncated_swap(grid[i], grid[j],
+                                      PairGibbsFactors.from_gibbs(g[:, 0], i, j))
+        _swap(grid, g, [i], [j], flat)
+        assert np.abs(out_a - grid[i]).max() < 1e-12
+        assert np.abs(out_b - grid[j]).max() < 1e-12
+
+
+def test_truncated_swap_rejects_rows_of_different_lengths():
+    with pytest.raises(ValueError):
+        truncated_swap([0.5, 0.5], [1.0], PairGibbsFactors(0.5))
+    with pytest.raises(ValueError):
+        truncated_swap([], [], PairGibbsFactors(0.5))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_truncated_chain_is_the_product_of_path_weight_swaps(d, beta):
+    # truncated mode keeps the memory between swaps, so the oracle carries
+    # the whole (d, N) grid through truncated_swap, swap by swap, and
+    # discards the memory once; it makes no engine call. The chain starts
+    # with a star in each role, which the runner runs as one wavefront each.
+    rng = np.random.default_rng(20 * d + int(10 * beta))
+    E = np.sort(rng.uniform(0.0, 2.0, d))
+    g = gibbs_state(E, beta)
+    p = rng.dirichlet(np.ones(d))
+    hub, x, y = (int(v) for v in rng.permutation(d)[:3])
+    chain = [(hub, x), (hub, y), (x, hub), (y, hub)] + [
+        tuple(int(v) for v in rng.choice(d, 2, replace=False))
+        for _ in range(d - 3)]
+    for N in (64, 256, 1024) if d == 3 else (64, 256):
+        grid = np.outer(p, np.full(N, 1.0 / N))
+        for i, j in chain:
+            grid[i], grid[j] = truncated_swap(
+                grid[i], grid[j], PairGibbsFactors.from_gibbs(g, i, j))
+        out = run_composed(p, E, beta, chain, N)
+        assert np.abs(out - grid.sum(axis=1)).max() < 1e-12, N

@@ -371,6 +371,79 @@ def test_star_groups_are_exact_with_one_underflowing_weight_per_cell(N):
         assert grid[1:].sum() == 0.0
 
 
+def phase_edge_star(size, role):
+    """A star of ``size`` spokes 1..size around the hub level 0: M < P,
+    M = P (one swap, one 0-d factor) or M > P."""
+    spokes = list(range(1, size + 1))
+    rows, cols = ([0], spokes) if role == "rows" else (spokes, [0])
+    return rows, cols, [(i, j) for i in rows for j in cols]
+
+
+@pytest.mark.parametrize("role", ["rows", "cols"])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_swap_phase_edges_equal_stepwise_swaps(N, size, role):
+    # at N <= 3 most diagonals are phase edges: the one-cell corners and
+    # the longest ones. Distinct energies give every swap of a star its own
+    # factor, with the hub mid-spectrum at beta = 0.7 so that factors lie
+    # on both sides of 1/2; at beta = 1000 the hub is the ground level and
+    # every other Gibbs weight underflows to 0. The grid starts off the
+    # thermal product so that every cell's update shows.
+    rows, cols, pairs = phase_edge_star(size, role)
+    mid = [0.9, 0.0, 0.3, 1.5, 2.0, 2.6]
+    rng = np.random.default_rng(10 * N + size)
+    for beta, E, em in [(0.7, mid, np.zeros(N)),
+                        (0.7, mid, np.sort(rng.uniform(0, 1, N))),
+                        (1000.0, [0.0, 0.8, 1.1, 1.6, 2.2, 3.0], np.zeros(N))]:
+        grid, g, _, flat = _thermal_joint(rng.dirichlet(np.ones(6)), E, beta,
+                                          pairs, N, em)
+        grid *= rng.uniform(0.5, 1.5, grid.shape)
+        ref = grid.ravel().copy()
+        with np.errstate(all="raise"):
+            for i, j in pairs:
+                _execute(ref, g.ravel(),
+                         build_schedule("default", (i, j), N).runs)
+            _swap(grid, g, rows, cols, flat)
+        assert np.array_equal(grid.ravel(), ref), (beta, flat)
+
+
+class CountingNumpy:
+    """numpy, but ``multiply`` records the size of the array it writes."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, x, y, out):
+        self.sizes.append(out.size)
+        return np.multiply(x, y, out)
+
+
+@pytest.mark.parametrize("role", ["rows", "cols"])
+@pytest.mark.parametrize("graded", [False, True])
+def test_swap_updates_each_anti_diagonal_once_in_order(monkeypatch, graded,
+                                                       role):
+    # thermalising a diagonal twice changes its cells only by rounding, and
+    # at most factors not at all, so a phase that starts one diagonal early
+    # can leave the grid bitwise equal: check the diagonal sequence itself,
+    # one np.multiply into the a side of each diagonal
+    counting = CountingNumpy()
+    monkeypatch.setattr("memtp.engine.np", counting)
+    for N in (1, 2, 3):
+        for size in (1, 2, 3, 4, 5):
+            rows, cols, pairs = phase_edge_star(size, role)
+            em = np.linspace(0.0, 1.0, N) if graded else None
+            grid, g, _, flat = _thermal_joint(np.full(6, 1 / 6), np.arange(6.0),
+                                              0.7, pairs, N, em)
+            counting.sizes.clear()
+            _swap(grid, g, rows, cols, flat)
+            M, P = len(rows) * N, len(cols) * N
+            assert counting.sizes == [min(M - max(t, 0), P - max(-t, 0))
+                                      for t in range(1 - P, M)], (N, size)
+
+
 @settings(max_examples=80, deadline=None)
 @given(d=st.integers(2, 5), N=st.integers(1, 6),
        beta=st.sampled_from([0.0, 0.4, 1.5]),

@@ -39,6 +39,23 @@ def test_converge_sweep_attaches_chain_prediction_at_beta0():
         assert r["delta"] == pytest.approx(expected, rel=0.1)
 
 
+def test_converge_sweep_predicts_truncated_chains_only_for_one_swap():
+    # the beta = 0 chain law is the full-mode law: a truncated chain of more
+    # than one swap measures well below it, so it gets no prediction
+    p = [0.37, 0.24, 0.16, 0.11, 0.07, 0.05]
+    reversal = BetaOrder((5, 4, 3, 2, 1, 0))
+    full = converge_sweep(p, range(6), 0.0, reversal, [16], mode="full")
+    truncated = converge_sweep(p, range(6), 0.0, reversal, [16])
+    assert full[0]["delta_predicted"] > 1.5 * truncated[0]["delta"]
+    assert math.isnan(truncated[0]["delta_predicted"])
+    for beta in (0.0, 0.5):
+        one_swap = [converge_sweep([0.7, 0.2, 0.1], [0, 1, 2], beta,
+                                   (1, 0, 2), [16], mode=mode)[0]
+                    for mode in ("full", "truncated")]
+        assert one_swap[0] == one_swap[1]
+        assert math.isfinite(one_swap[1]["delta_predicted"])
+
+
 def test_converge_sweep_validation():
     rows = converge_sweep((0.6, 0.4), (0.0, 1.0), 0.3, (1, 0), (2, 4, 8))
     assert [r["N"] for r in rows] == [2, 4, 8]

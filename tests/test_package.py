@@ -64,9 +64,14 @@ def _unused_imports(source: str) -> list[str]:
 
 def test_modules_have_no_unused_imports():
     # __init__.py imports only to re-export, so it is left out
-    for path in sorted(Path(memtp.__file__).parent.glob("*.py")):
+    repo = Path(__file__).resolve().parents[1]
+    paths = (sorted(Path(memtp.__file__).parent.glob("*.py"))
+             + sorted((repo / "tests").glob("*.py"))
+             + sorted((repo / "demos").glob("*.py")))
+    assert any(p.parent.name == "demos" for p in paths)
+    for path in paths:
         if path.name != "__init__.py":
-            assert _unused_imports(path.read_text()) == [], path.name
+            assert _unused_imports(path.read_text()) == [], path
 
 
 def test_unused_import_check_sees_a_dead_import():
